@@ -38,6 +38,18 @@ func TestEFWFullBandwidthAtShallowDepth(t *testing.T) {
 	}
 }
 
+func TestADFFullBandwidthAtShallowDepth(t *testing.T) {
+	// The paper reports no significant loss under 20 rules for ADF too;
+	// the model's ADF holds full speed through depth 8 and is at about
+	// 80 Mbps by depth 16.
+	for _, depth := range []int{1, 8} {
+		p := bw(t, Scenario{Device: DeviceADF, Depth: depth})
+		if p.Mbps() < 90 {
+			t.Errorf("ADF depth %d = %.1f Mbps, want >90", depth, p.Mbps())
+		}
+	}
+}
+
 func TestEFWLosesHalfBandwidthAt64Rules(t *testing.T) {
 	p := bw(t, Scenario{Device: DeviceEFW, Depth: 64})
 	if p.Mbps() < 40 || p.Mbps() > 60 {
@@ -107,13 +119,24 @@ func TestFloodKillsEFWButNotStandardOrIPTables(t *testing.T) {
 }
 
 func TestFloodBandwidthMonotoneInRate(t *testing.T) {
-	prev := 1e9
-	for _, rate := range []float64{0, 6000, 10000, 12500} {
-		p := bw(t, Scenario{Device: DeviceEFW, Depth: 1, FloodRatePPS: rate, FloodAllowed: true})
-		if p.Mbps() > prev*1.10 {
-			t.Errorf("EFW bandwidth increased with flood rate at %.0f pps: %.1f > %.1f", rate, p.Mbps(), prev)
+	// Fig 3a: every card firewall, VPG included, degrades monotonically
+	// with flood rate and has lost most of its bandwidth by 12.5k pps.
+	for _, dev := range []Device{DeviceEFW, DeviceADF, DeviceADFVPG} {
+		var first float64
+		prev := 1e9
+		for _, rate := range []float64{0, 6000, 10000, 12500} {
+			p := bw(t, Scenario{Device: dev, Depth: 1, FloodRatePPS: rate, FloodAllowed: true})
+			if p.Mbps() > prev*1.10 {
+				t.Errorf("%v bandwidth increased with flood rate at %.0f pps: %.1f > %.1f", dev, rate, p.Mbps(), prev)
+			}
+			if rate == 0 {
+				first = p.Mbps()
+			}
+			prev = p.Mbps()
 		}
-		prev = p.Mbps()
+		if prev > first/4 {
+			t.Errorf("%v under 12.5k pps flood = %.1f Mbps, want < a quarter of its unflooded %.1f", dev, prev, first)
+		}
 	}
 }
 

@@ -37,6 +37,11 @@ type Switch struct {
 	macs   map[packet.MAC]int
 	stats  SwitchStats
 	tracer *tracing.Tracer
+
+	// egressFns holds one precomputed egress callback per port, so
+	// forwarding a frame schedules a pooled kernel event and allocates
+	// nothing.
+	egressFns []func(any)
 }
 
 // NewSwitch creates an empty switch.
@@ -53,6 +58,7 @@ func (s *Switch) NewPort() *Endpoint {
 	station, swSide := New(s.kernel, s.cfg.Link)
 	port := len(s.ports)
 	s.ports = append(s.ports, swSide)
+	s.egressFns = append(s.egressFns, func(x any) { s.egress(port, x.(*packet.Frame)) })
 	swSide.SetTracer(s.tracer)
 	swSide.Attach(func(f *packet.Frame) { s.ingress(port, f) })
 	return station
@@ -82,6 +88,10 @@ func (s *Switch) LearnedPort(m packet.MAC) int {
 	return -1
 }
 
+// ingress learns the source MAC and schedules egress after the
+// store-and-forward latency.
+//
+//barbican:noalloc
 func (s *Switch) ingress(port int, f *packet.Frame) {
 	if !f.Src.IsBroadcast() {
 		s.macs[f.Src] = port
@@ -90,7 +100,7 @@ func (s *Switch) ingress(port int, f *packet.Frame) {
 		now := s.kernel.Now()
 		s.tracer.Span(f.TraceID, tracing.StageSwitch, now, now+s.cfg.Latency)
 	}
-	s.kernel.After(s.cfg.Latency, func() { s.egress(port, f) })
+	s.kernel.AfterCall(s.cfg.Latency, s.egressFns[port], f)
 }
 
 func (s *Switch) egress(inPort int, f *packet.Frame) {

@@ -7,7 +7,6 @@
 package sim
 
 import (
-	"container/heap"
 	"errors"
 	"math/rand"
 	"reflect"
@@ -44,8 +43,7 @@ func (e *Event) Cancel() bool {
 	if e == nil || e.fired || e.index < 0 {
 		return false
 	}
-	heap.Remove(&e.kernel.queue, e.index)
-	e.index = -1
+	e.kernel.queue.remove(e.index)
 	e.fired = true
 	return true
 }
@@ -181,7 +179,7 @@ func (k *Kernel) endRun(outermost bool) {
 }
 
 // Len returns the number of pending events.
-func (k *Kernel) Len() int { return k.queue.Len() }
+func (k *Kernel) Len() int { return len(k.queue) }
 
 // At schedules fn to run at absolute virtual time t. Scheduling in the past
 // is clamped to the current time (the event fires "now", after already-queued
@@ -192,7 +190,7 @@ func (k *Kernel) At(t time.Duration, fn func()) *Event {
 	}
 	e := &Event{at: t, seq: k.seq, fn: fn, kernel: k}
 	k.seq++
-	heap.Push(&k.queue, e)
+	k.queue.push(e)
 	return e
 }
 
@@ -222,7 +220,7 @@ func (k *Kernel) AtCall(t time.Duration, fn func(any), arg any) {
 	e.at, e.seq = t, k.seq
 	e.fnArg, e.arg = fn, arg
 	k.seq++
-	heap.Push(&k.queue, e)
+	k.queue.push(e)
 }
 
 // AfterCall schedules fn(arg) d after the current virtual time on a
@@ -238,11 +236,10 @@ func (k *Kernel) Halt() { k.halted = true }
 // Step executes the next pending event, advancing the clock to its
 // timestamp. It reports whether an event was executed.
 func (k *Kernel) Step() bool {
-	if k.queue.Len() == 0 {
+	if len(k.queue) == 0 {
 		return false
 	}
-	ev, _ := heap.Pop(&k.queue).(*Event)
-	ev.index = -1
+	ev := k.queue.pop()
 	ev.fired = true
 	k.now = ev.at
 	k.executed++
@@ -294,7 +291,7 @@ func (k *Kernel) RunUntil(t time.Duration) error {
 	defer k.endRun(k.beginRun())
 	k.halted = false
 	for !k.halted {
-		if k.queue.Len() == 0 || k.queue[0].at > t {
+		if len(k.queue) == 0 || k.queue[0].at > t {
 			if t > k.now {
 				k.now = t
 			}
@@ -310,38 +307,102 @@ func (k *Kernel) RunFor(d time.Duration) error {
 	return k.RunUntil(k.now + d)
 }
 
-// eventQueue is a min-heap ordered by (at, seq).
+// eventQueue is a 4-ary min-heap of events ordered by (at, seq), with
+// each event's index field kept equal to its slot so Cancel can remove
+// it in O(log n). The (at, seq) key is unique per event, so the pop
+// order is fully determined by the keys: any correct priority queue
+// executes a simulation identically, and the heap's shape is free to
+// be chosen for speed. Four children per node halve the tree depth of
+// a binary heap and keep each node's children in adjacent slots; the
+// typed comparisons avoid the standard heap package's interface calls.
 type eventQueue []*Event
 
-func (q eventQueue) Len() int { return len(q) }
-
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].at != q[j].at {
-		return q[i].at < q[j].at
-	}
-	return q[i].seq < q[j].seq
+// before reports whether a fires ahead of b.
+func before(a, b *Event) bool {
+	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
 }
 
-func (q eventQueue) Swap(i, j int) {
-	q[i], q[j] = q[j], q[i]
-	q[i].index = i
-	q[j].index = j
-}
-
-func (q *eventQueue) Push(x any) {
-	e, ok := x.(*Event)
-	if !ok {
-		return
-	}
-	e.index = len(*q)
+// push adds e to the queue.
+func (q *eventQueue) push(e *Event) {
 	*q = append(*q, e)
+	q.up(e, len(*q)-1)
 }
 
-func (q *eventQueue) Pop() any {
-	old := *q
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	*q = old[:n-1]
-	return e
+// pop removes and returns the earliest event. The queue must be
+// non-empty.
+func (q *eventQueue) pop() *Event {
+	h := *q
+	n := len(h) - 1
+	top, last := h[0], h[n]
+	h[n] = nil
+	*q = h[:n]
+	if n > 0 {
+		q.down(last, 0)
+	}
+	top.index = -1
+	return top
+}
+
+// remove deletes the event at slot i.
+func (q *eventQueue) remove(i int) {
+	h := *q
+	n := len(h) - 1
+	e, last := h[i], h[n]
+	h[n] = nil
+	*q = h[:n]
+	if i < n {
+		// The former last event refills slot i and moves whichever way
+		// the heap order demands.
+		if i > 0 && before(last, h[(i-1)/4]) {
+			q.up(last, i)
+		} else {
+			q.down(last, i)
+		}
+	}
+	e.index = -1
+}
+
+// up places e, which belongs at slot i or above, by moving later
+// ancestors down one level at a time.
+func (q *eventQueue) up(e *Event, i int) {
+	h := *q
+	for i > 0 {
+		p := (i - 1) / 4
+		pe := h[p]
+		if !before(e, pe) {
+			break
+		}
+		h[i], pe.index = pe, i
+		i = p
+	}
+	h[i], e.index = e, i
+}
+
+// down places e, which belongs at slot i or below, by moving the
+// earliest child up one level at a time.
+func (q *eventQueue) down(e *Event, i int) {
+	h := *q
+	n := len(h)
+	for {
+		c := 4*i + 1
+		if c >= n {
+			break
+		}
+		m, me := c, h[c]
+		end := c + 4
+		if end > n {
+			end = n
+		}
+		for j := c + 1; j < end; j++ {
+			if before(h[j], me) {
+				m, me = j, h[j]
+			}
+		}
+		if !before(me, e) {
+			break
+		}
+		h[i], me.index = me, i
+		i = m
+	}
+	h[i], e.index = e, i
 }

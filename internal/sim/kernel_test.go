@@ -335,3 +335,148 @@ func TestRunUntilBoundProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestQueueDifferential drives seeded random interleavings of At,
+// AtCall, Step and Cancel against a reference model: a slice of the
+// pending (at, seq) keys, sorted before every pop. Cancel targets the
+// root, the last slot, a middle slot and already-fired events. After
+// every operation each queued event's index must equal its slot and
+// every slot must not fire before its parent.
+func TestQueueDifferential(t *testing.T) {
+	type entry struct {
+		at  time.Duration
+		seq uint64
+		id  int
+		ev  *Event // nil for pooled AtCall events, which cannot be canceled
+	}
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		k := NewKernel()
+		var model []entry
+		var fired []int
+		var done []*Event // At events that already fired
+		cancels := map[string]int{}
+		nextID := 0
+		callFn := func(x any) { fired = append(fired, x.(int)) }
+		sortModel := func() {
+			sort.Slice(model, func(i, j int) bool {
+				return model[i].at < model[j].at || (model[i].at == model[j].at && model[i].seq < model[j].seq)
+			})
+		}
+
+		check := func(op string) {
+			t.Helper()
+			q := k.queue
+			if len(q) != len(model) {
+				t.Fatalf("seed %d after %s: queue holds %d events, model %d", seed, op, len(q), len(model))
+			}
+			for i, e := range q {
+				if e.index != i {
+					t.Fatalf("seed %d after %s: q[%d].index = %d", seed, op, i, e.index)
+				}
+				if i > 0 && before(e, q[(i-1)/4]) {
+					t.Fatalf("seed %d after %s: q[%d] fires before its parent", seed, op, i)
+				}
+			}
+		}
+		schedule := func(pooled bool) {
+			at := k.Now() + time.Duration(rng.Intn(8)) - 1 // ties and a clamped past
+			m := entry{at: at, seq: k.seq, id: nextID}
+			nextID++
+			if m.at < k.Now() {
+				m.at = k.Now()
+			}
+			if pooled {
+				k.AtCall(at, callFn, m.id)
+			} else {
+				id := m.id
+				m.ev = k.At(at, func() { fired = append(fired, id) })
+			}
+			model = append(model, m)
+		}
+		cancel := func(kind string, e *Event) {
+			for i, m := range model {
+				if m.ev != e {
+					continue
+				}
+				if !e.Cancel() {
+					t.Fatalf("seed %d: Cancel(%s) of pending event %d returned false", seed, kind, m.id)
+				}
+				model = append(model[:i], model[i+1:]...)
+				cancels[kind]++
+				return
+			}
+		}
+
+		for op := 0; op < 2000; op++ {
+			switch r := rng.Intn(10); {
+			case r < 3:
+				schedule(false)
+				check("At")
+			case r < 5:
+				schedule(true)
+				check("AtCall")
+			case r < 8:
+				if len(model) == 0 {
+					continue
+				}
+				sortModel()
+				want := model[0]
+				model = model[1:]
+				if !k.Step() {
+					t.Fatalf("seed %d: Step on a non-empty queue returned false", seed)
+				}
+				if got := fired[len(fired)-1]; got != want.id || k.Now() != want.at {
+					t.Fatalf("seed %d: popped event %d at %v, want %d at %v", seed, got, k.Now(), want.id, want.at)
+				}
+				if want.ev != nil {
+					done = append(done, want.ev)
+				}
+				check("Step")
+			default:
+				n := len(k.queue)
+				switch rng.Intn(4) {
+				case 0:
+					if n > 0 {
+						cancel("root", k.queue[0])
+					}
+				case 1:
+					if n > 0 {
+						cancel("last", k.queue[n-1])
+					}
+				case 2:
+					if n > 2 {
+						cancel("middle", k.queue[1+rng.Intn(n-2)])
+					}
+				case 3:
+					if len(done) > 0 {
+						if done[rng.Intn(len(done))].Cancel() {
+							t.Fatalf("seed %d: Cancel of a fired event returned true", seed)
+						}
+						cancels["fired"]++
+					}
+				}
+				check("Cancel")
+			}
+		}
+		// Drain: the remaining pops must follow the model's order too.
+		sortModel()
+		start := len(fired)
+		if err := k.Run(); err != nil {
+			t.Fatalf("seed %d: Run: %v", seed, err)
+		}
+		if len(fired)-start != len(model) {
+			t.Fatalf("seed %d: drained %d events, want %d", seed, len(fired)-start, len(model))
+		}
+		for i, m := range model {
+			if fired[start+i] != m.id {
+				t.Fatalf("seed %d: drain pop %d = event %d, want %d", seed, i, fired[start+i], m.id)
+			}
+		}
+		for _, kind := range []string{"root", "last", "middle", "fired"} {
+			if cancels[kind] == 0 {
+				t.Errorf("seed %d: no Cancel hit the %s case", seed, kind)
+			}
+		}
+	}
+}
