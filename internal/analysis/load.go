@@ -3,6 +3,7 @@ package analysis
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -96,6 +97,12 @@ func (l *Loader) load(dir, importPath string) (*Package, error) {
 		if e.IsDir() || !strings.HasSuffix(name, ".go") ||
 			strings.HasSuffix(name, "_test.go") ||
 			strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") {
+			continue
+		}
+		// Honor build constraints as the compiler does in a default
+		// build, so tag-selected variants (e.g. framepoison) do not
+		// collide.
+		if ok, err := build.Default.MatchFile(dir, name); err != nil || !ok {
 			continue
 		}
 		names = append(names, name)

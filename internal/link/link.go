@@ -83,7 +83,8 @@ type FaultOutcome struct {
 	// Deliveries, when non-empty, replaces the single on-time
 	// delivery: one entry per arrival (corruption substitutes a
 	// mangled clone, duplication adds entries, reordering adds
-	// ExtraDelay). Ignored when Lost is set.
+	// ExtraDelay). The sent frame itself may appear at most once;
+	// extra arrivals carry clones. Ignored when Lost is set.
 	Deliveries []FaultDelivery
 
 	// Effect flags drive the per-endpoint Stats counters.
@@ -141,8 +142,9 @@ func New(k *sim.Kernel, cfg Config) (*Endpoint, *Endpoint) {
 	return a, b
 }
 
-// deliver completes one frame's flight: it frees the transmit slot and
-// hands the frame to the destination endpoint's tap and receiver.
+// deliver completes one frame's flight: it frees the transmit slot,
+// lends the frame to the destination endpoint's tap and receiver, and
+// then drops the reference the flight held.
 func (d *direction) deliver(x any) {
 	f := x.(*packet.Frame)
 	d.queued--
@@ -153,6 +155,7 @@ func (d *direction) deliver(x any) {
 	if dst.recv != nil {
 		dst.recv(f)
 	}
+	f.Release()
 }
 
 // release frees one transmit-queue slot for a frame that will never
@@ -160,7 +163,8 @@ func (d *direction) deliver(x any) {
 func (d *direction) release(any) { d.queued-- }
 
 // Attach registers the frame handler invoked when a frame arrives at this
-// endpoint.
+// endpoint. The frame is lent to the handler for the duration of the
+// call: a handler that keeps it takes a reference (packet.Frame.Retain).
 func (e *Endpoint) Attach(recv func(*packet.Frame)) { e.recv = recv }
 
 // Peer returns the other end of the link.
@@ -190,6 +194,8 @@ func (e *Endpoint) Rate() int64 { return e.dir.cfg.RateBits }
 
 // Send queues a frame for transmission toward the peer endpoint. It
 // reports false when the transmit queue is full and the frame was dropped.
+// Send consumes one reference to the frame whatever the outcome: the
+// flight holds it until delivery, and a dropped frame is released here.
 func (e *Endpoint) Send(f *packet.Frame) bool {
 	d := e.dir
 	if d.queued >= d.cfg.QueueFrames {
@@ -197,6 +203,7 @@ func (e *Endpoint) Send(f *packet.Frame) bool {
 		if d.tracer != nil && f.TraceID != 0 {
 			d.tracer.Drop(f.TraceID, tracing.StageLink, tracing.DropLinkQueue)
 		}
+		f.Release()
 		return false
 	}
 	now := d.kernel.Now()
@@ -242,6 +249,7 @@ func (d *direction) sendWithFaults(f *packet.Frame, now, done time.Duration) {
 		// The wire is still occupied until serialization completes;
 		// only then does the transmit slot free up.
 		d.kernel.AfterCall(done-now, d.releaseFn, nil)
+		f.Release()
 		return
 	}
 	if out.Corrupted {
@@ -260,8 +268,17 @@ func (d *direction) sendWithFaults(f *packet.Frame, now, done time.Duration) {
 	// Each scheduled delivery decrements queued on arrival; balance
 	// the extra arrivals duplication created.
 	d.queued += len(out.Deliveries) - 1
+	// Each delivery releases its frame on arrival. The reference Send
+	// consumed covers the sent frame's delivery; a frame the injector
+	// replaced outright (corruption substitutes a clone) is released
+	// now.
+	kept := false
 	for _, dv := range out.Deliveries {
+		kept = kept || dv.Frame == f
 		d.kernel.AfterCall(done+d.cfg.Propagation+dv.ExtraDelay-now, d.deliverFn, dv.Frame)
+	}
+	if !kept {
+		f.Release()
 	}
 }
 

@@ -89,7 +89,8 @@ func (s *Switch) LearnedPort(m packet.MAC) int {
 }
 
 // ingress learns the source MAC and schedules egress after the
-// store-and-forward latency.
+// store-and-forward latency. The link lends the frame for this call, so
+// the pending egress event takes its own reference.
 //
 //barbican:noalloc
 func (s *Switch) ingress(port int, f *packet.Frame) {
@@ -100,14 +101,19 @@ func (s *Switch) ingress(port int, f *packet.Frame) {
 		now := s.kernel.Now()
 		s.tracer.Span(f.TraceID, tracing.StageSwitch, now, now+s.cfg.Latency)
 	}
+	f.Retain()
 	s.kernel.AfterCall(s.cfg.Latency, s.egressFns[port], f)
 }
 
+// egress forwards a frame on the reference ingress took: a unicast send
+// passes it to the egress link, and a filtered or flooded frame (each
+// flooded port gets a clone) releases it here.
 func (s *Switch) egress(inPort int, f *packet.Frame) {
 	if !f.Dst.IsBroadcast() {
 		if out, ok := s.macs[f.Dst]; ok {
 			if out == inPort {
-				return // destination is behind the ingress port; filter
+				f.Release() // destination is behind the ingress port; filter
+				return
 			}
 			s.stats.Forwarded++
 			if !s.ports[out].Send(f) {
@@ -125,4 +131,5 @@ func (s *Switch) egress(inPort int, f *packet.Frame) {
 			s.stats.Dropped++
 		}
 	}
+	f.Release()
 }

@@ -357,7 +357,8 @@ func (n *NIC) degradedEgress(d *packet.Datagram, dstMAC packet.MAC, s packet.Sum
 	if n.failMode == FailModeOpen {
 		n.stats.DegradedPass++
 		n.stats.TxAllowed++
-		frame := &packet.Frame{Dst: dstMAC, Src: n.mac, Type: packet.EtherTypeIPv4, Payload: d.Marshal(), TraceID: tid}
+		frame := n.buildFrame(d, dstMAC)
+		frame.TraceID = tid
 		if tid != 0 {
 			n.tracer.Point(tid, tracing.StageNICTx, "degraded fail-open pass")
 		}

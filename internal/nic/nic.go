@@ -113,6 +113,11 @@ type NIC struct {
 	finishFn    func(any)
 	ingressFree []*pendingIngress
 
+	// frames supplies the transmit frames Send builds. Every holder
+	// along a frame's path follows packet's ownership rules, so the
+	// buffer comes back here once the frame is delivered or dropped.
+	frames packet.FramePool
+
 	mgmtPeer packet.IP
 	mgmtPort uint16
 
@@ -150,9 +155,12 @@ func New(k *sim.Kernel, mac packet.MAC, profile Profile, ep *link.Endpoint) *NIC
 		fcache:  newFlowCache(profile.FlowCacheSize),
 	}
 	n.txFn = func(x any) {
-		if !n.locked {
-			n.ep.Send(x.(*packet.Frame))
+		f := x.(*packet.Frame)
+		if n.locked {
+			f.Release()
+			return
 		}
+		n.ep.Send(f)
 	}
 	n.finishFn = n.finishPending
 	if profile.ConntrackEntries > 0 {
@@ -177,8 +185,9 @@ type pendingIngress struct {
 	verdict fw.Verdict
 }
 
-// finishPending unwraps a recycled pendingIngress and completes the
-// admitted frame. On the per-packet hot path (BenchmarkRxPath).
+// finishPending unwraps a recycled pendingIngress, completes the
+// admitted frame and drops the reference handleFrame took for it. On
+// the per-packet hot path (BenchmarkRxPath).
 //
 //barbican:noalloc
 func (n *NIC) finishPending(x any) {
@@ -187,6 +196,7 @@ func (n *NIC) finishPending(x any) {
 	pi.f, pi.verdict = nil, fw.Verdict{}
 	n.ingressFree = append(n.ingressFree, pi)
 	n.finishIngress(f, s, verdict)
+	f.Release()
 }
 
 // MAC returns the card's hardware address.
@@ -267,7 +277,8 @@ func (n *NIC) overloadReason() tracing.DropReason {
 	return tracing.DropQueueOverflow
 }
 
-// SetDeliver registers the host-side receive handler.
+// SetDeliver registers the host-side receive handler. The frame is lent
+// to the handler for the duration of the call (see packet.FramePool).
 func (n *NIC) SetDeliver(fn func(*packet.Frame)) { n.deliver = fn }
 
 // InstallRuleSet installs (or, with nil, removes) the enforced policy.
@@ -611,7 +622,7 @@ func (n *NIC) Send(d *packet.Datagram, dstMAC packet.MAC) bool {
 			tr.Point(tid, tracing.StageVPG, "sealed "+sealGroup)
 		}
 	} else {
-		frame = &packet.Frame{Dst: dstMAC, Src: n.mac, Type: packet.EtherTypeIPv4, Payload: d.Marshal()}
+		frame = n.buildFrame(d, dstMAC)
 	}
 	if len(frame.Payload) > packet.MaxPayload {
 		n.stats.TxOversize++
@@ -619,6 +630,7 @@ func (n *NIC) Send(d *packet.Datagram, dstMAC packet.MAC) bool {
 		if tid != 0 {
 			tr.Drop(tid, tracing.StageNICTx, tracing.DropOversize)
 		}
+		frame.Release()
 		return false
 	}
 	n.stats.TxAllowed++
@@ -626,15 +638,32 @@ func (n *NIC) Send(d *packet.Datagram, dstMAC packet.MAC) bool {
 		frame.TraceID = tid
 		tr.Span(tid, tracing.StageNICTx, n.kernel.Now(), completeAt)
 	}
-	// The frame leaves the card once the embedded processor finishes it.
+	// The frame leaves the card once the embedded processor finishes it;
+	// the pending event holds the frame's reference until then.
 	n.kernel.AtCall(completeAt, n.txFn, frame)
 	return true
 }
 
+// buildFrame marshals d into a frame from the card's pool, addressed to
+// dstMAC. The caller owns the frame's one reference.
+//
+//barbican:noalloc
+func (n *NIC) buildFrame(d *packet.Datagram, dstMAC packet.MAC) *packet.Frame {
+	f := n.frames.Get(packet.IPv4HeaderLen + len(d.Payload))
+	f.Dst, f.Src, f.Type = dstMAC, n.mac, packet.EtherTypeIPv4
+	f.Payload = d.MarshalTo(f.Payload)
+	return f
+}
+
+// FramesOutstanding returns the number of frames built by this card
+// that some holder has not yet released: zero once the network is idle.
+func (n *NIC) FramesOutstanding() int { return n.frames.Outstanding() }
+
 // SendRawFrame transmits a pre-built frame without policy evaluation or
 // sealing — attacker tooling (raw sockets on a non-filtering card). A
 // filtering card still charges its base processing cost and honors
-// lockup; a standard card passes it straight through.
+// lockup; a standard card passes it straight through. Like
+// link.Endpoint.Send it consumes one reference to f.
 func (n *NIC) SendRawFrame(f *packet.Frame) bool {
 	n.stats.TxRequests++
 	var tid uint64
@@ -652,6 +681,7 @@ func (n *NIC) SendRawFrame(f *packet.Frame) bool {
 		if tid != 0 {
 			tr.Drop(tid, tracing.StageNICTx, tracing.DropAgentNotReady)
 		}
+		f.Release()
 		return false
 	}
 	if n.degState == StateDegraded {
@@ -673,6 +703,7 @@ func (n *NIC) SendRawFrame(f *packet.Frame) bool {
 			if tid != 0 {
 				tr.Drop(tid, tracing.StageNICTx, tracing.DropDegraded)
 			}
+			f.Release()
 			return false
 		case FailModeNone, NumFailModes:
 			// Unreachable: StateDegraded requires an armed machine.
@@ -687,6 +718,7 @@ func (n *NIC) SendRawFrame(f *packet.Frame) bool {
 		if tid != 0 {
 			tr.Drop(tid, tracing.StageNICTx, reason)
 		}
+		f.Release()
 		return false
 	}
 	if n.prof != nil {
@@ -881,12 +913,16 @@ func (n *NIC) handleFrame(f *packet.Frame) {
 	} else {
 		pi = &pendingIngress{} //barbican:allow alloc -- cold-path freelist refill; steady state recycles
 	}
+	// The link lends f for this call only; the pending completion keeps
+	// it, so it takes a reference (released by finishPending).
+	f.Retain()
 	pi.f, pi.s, pi.verdict = f, s, verdict
 	n.kernel.AtCall(completeAt, n.finishFn, pi)
 }
 
 // finishIngress runs after the processor's admission delay: VPG opening
-// if sealed, then delivery. On the per-packet hot path (BenchmarkRxPath).
+// if sealed, then delivery, which lends the frame to the host for the
+// call. On the per-packet hot path (BenchmarkRxPath).
 //
 //barbican:noalloc
 func (n *NIC) finishIngress(f *packet.Frame, s packet.Summary, verdict fw.Verdict) {

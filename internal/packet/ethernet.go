@@ -48,6 +48,11 @@ type Frame struct {
 	// packet-lifecycle trace (internal/obs/tracing). Marshal ignores
 	// it; Clone propagates it.
 	TraceID uint64
+
+	// refs and pool are the frame's ownership state when it came from
+	// a FramePool (pool == nil for every other frame; see pool.go).
+	refs int32
+	pool *FramePool
 }
 
 // FrameLen returns the frame length counted the way the paper counts it:
@@ -110,9 +115,11 @@ func UnmarshalFrame(b []byte) (*Frame, error) {
 	return f, nil
 }
 
-// Clone returns a deep copy of the frame.
+// Clone returns a deep copy of the frame. The copy is never pooled, so
+// its holder may keep it for as long as it likes.
 func (f *Frame) Clone() *Frame {
 	c := *f
+	c.refs, c.pool = 0, nil
 	c.Payload = append([]byte(nil), f.Payload...)
 	return &c
 }

@@ -50,13 +50,24 @@ func (m *ICMPMessage) MarshalTo(b []byte) []byte {
 // UnmarshalICMPMessage parses an ICMP message and verifies its checksum.
 // The payload aliases b.
 func UnmarshalICMPMessage(b []byte) (*ICMPMessage, error) {
+	m, err := ParseICMPMessage(b)
+	if err != nil {
+		return nil, err
+	}
+	return &m, nil
+}
+
+// ParseICMPMessage is the by-value form of UnmarshalICMPMessage, used
+// on the host receive path where the message must not escape to the
+// heap. The payload aliases b.
+func ParseICMPMessage(b []byte) (ICMPMessage, error) {
 	if len(b) < ICMPHeaderLen {
-		return nil, fmt.Errorf("packet: ICMP message too short (%d bytes)", len(b))
+		return ICMPMessage{}, fmt.Errorf("packet: ICMP message too short (%d bytes)", len(b))
 	}
 	if Checksum(b) != 0 {
-		return nil, fmt.Errorf("packet: ICMP checksum mismatch")
+		return ICMPMessage{}, fmt.Errorf("packet: ICMP checksum mismatch")
 	}
-	return &ICMPMessage{
+	return ICMPMessage{
 		Type:    b[0],
 		Code:    b[1],
 		ID:      binary.BigEndian.Uint16(b[4:6]),

@@ -162,11 +162,22 @@ func (d *Datagram) MarshalTo(b []byte) []byte {
 // UnmarshalDatagram parses an IPv4 datagram. The payload aliases b and is
 // truncated to the header's TotalLen.
 func UnmarshalDatagram(b []byte) (*Datagram, error) {
-	h, ihl, err := UnmarshalIPv4Header(b)
+	d, err := ParseDatagram(b)
 	if err != nil {
 		return nil, err
 	}
-	return &Datagram{Header: *h, Payload: b[ihl:h.TotalLen]}, nil
+	return &d, nil
+}
+
+// ParseDatagram is the by-value form of UnmarshalDatagram, used on the
+// host receive path where the datagram must not escape to the heap.
+// The payload aliases b.
+func ParseDatagram(b []byte) (Datagram, error) {
+	h, ihl, err := ParseIPv4Header(b)
+	if err != nil {
+		return Datagram{}, err
+	}
+	return Datagram{Header: h, Payload: b[ihl:h.TotalLen]}, nil
 }
 
 // NewDatagram builds a datagram with the simulator's defaults (TTL 64,

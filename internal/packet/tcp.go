@@ -84,17 +84,28 @@ func (s *TCPSegment) MarshalTo(src, dst IP, b []byte) []byte {
 // UnmarshalTCPSegment parses a TCP segment and verifies its checksum
 // against the IPv4 pseudo-header. The payload aliases b.
 func UnmarshalTCPSegment(src, dst IP, b []byte) (*TCPSegment, error) {
+	s, err := ParseTCPSegment(src, dst, b)
+	if err != nil {
+		return nil, err
+	}
+	return &s, nil
+}
+
+// ParseTCPSegment is the by-value form of UnmarshalTCPSegment, used on
+// the host receive path where the segment must not escape to the heap.
+// The payload aliases b.
+func ParseTCPSegment(src, dst IP, b []byte) (TCPSegment, error) {
 	if len(b) < TCPHeaderLen {
-		return nil, fmt.Errorf("packet: TCP segment too short (%d bytes)", len(b))
+		return TCPSegment{}, fmt.Errorf("packet: TCP segment too short (%d bytes)", len(b))
 	}
 	dataOff := int(b[12]>>4) * 4
 	if dataOff < TCPHeaderLen || dataOff > len(b) {
-		return nil, fmt.Errorf("packet: bad TCP data offset %d", dataOff)
+		return TCPSegment{}, fmt.Errorf("packet: bad TCP data offset %d", dataOff)
 	}
 	if TransportChecksum(src, dst, ProtoTCP, b) != 0 {
-		return nil, fmt.Errorf("packet: TCP checksum mismatch")
+		return TCPSegment{}, fmt.Errorf("packet: TCP checksum mismatch")
 	}
-	return &TCPSegment{
+	return TCPSegment{
 		SrcPort: binary.BigEndian.Uint16(b[0:2]),
 		DstPort: binary.BigEndian.Uint16(b[2:4]),
 		Seq:     binary.BigEndian.Uint32(b[4:8]),

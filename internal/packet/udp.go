@@ -41,18 +41,29 @@ func (u *UDPDatagram) MarshalTo(src, dst IP, b []byte) []byte {
 // UnmarshalUDPDatagram parses a UDP datagram and verifies its checksum.
 // The payload aliases b.
 func UnmarshalUDPDatagram(src, dst IP, b []byte) (*UDPDatagram, error) {
+	u, err := ParseUDPDatagram(src, dst, b)
+	if err != nil {
+		return nil, err
+	}
+	return &u, nil
+}
+
+// ParseUDPDatagram is the by-value form of UnmarshalUDPDatagram, used
+// on the host receive path where the datagram must not escape to the
+// heap. The payload aliases b.
+func ParseUDPDatagram(src, dst IP, b []byte) (UDPDatagram, error) {
 	if len(b) < UDPHeaderLen {
-		return nil, fmt.Errorf("packet: UDP datagram too short (%d bytes)", len(b))
+		return UDPDatagram{}, fmt.Errorf("packet: UDP datagram too short (%d bytes)", len(b))
 	}
 	length := int(binary.BigEndian.Uint16(b[4:6]))
 	if length < UDPHeaderLen || length > len(b) {
-		return nil, fmt.Errorf("packet: bad UDP length %d (buffer %d)", length, len(b))
+		return UDPDatagram{}, fmt.Errorf("packet: bad UDP length %d (buffer %d)", length, len(b))
 	}
 	b = b[:length]
 	if binary.BigEndian.Uint16(b[6:8]) != 0 && TransportChecksum(src, dst, ProtoUDP, b) != 0 {
-		return nil, fmt.Errorf("packet: UDP checksum mismatch")
+		return UDPDatagram{}, fmt.Errorf("packet: UDP checksum mismatch")
 	}
-	return &UDPDatagram{
+	return UDPDatagram{
 		SrcPort: binary.BigEndian.Uint16(b[0:2]),
 		DstPort: binary.BigEndian.Uint16(b[2:4]),
 		Payload: b[UDPHeaderLen:],

@@ -199,6 +199,35 @@ func (k *Kernel) After(d time.Duration, fn func()) *Event {
 	return k.At(k.now+d, fn)
 }
 
+// RearmAt schedules the spent event e — one that fired or was
+// cancelled — to run its callback again at absolute virtual time t, as
+// if At had scheduled a fresh event: it takes the next sequence number,
+// so the run is identical either way. It is the allocation-free form of
+// At for a caller-owned timer that is armed over and over (a TCP
+// retransmission timer re-arms on every ACK).
+//
+// Re-arming reuses the *Event: every handle to it now refers to the new
+// arming, so a holder of a stale handle must not Cancel it. RearmAt
+// panics if e is still pending, was scheduled by another kernel or is
+// a pooled AtCall event.
+func (k *Kernel) RearmAt(e *Event, t time.Duration) {
+	if e.kernel != k || e.pooled || e.Pending() {
+		panic("sim: RearmAt needs a spent event of this kernel")
+	}
+	if t < k.now {
+		t = k.now
+	}
+	e.at, e.seq, e.fired = t, k.seq, false
+	k.seq++
+	k.queue.push(e)
+}
+
+// RearmAfter re-arms the spent event e to run d after the current
+// virtual time (see RearmAt).
+func (k *Kernel) RearmAfter(e *Event, d time.Duration) {
+	k.RearmAt(e, k.now+d)
+}
+
 // AtCall schedules fn(arg) at absolute virtual time t on a pooled,
 // uncancellable event. It is the allocation-free form of At for hot
 // per-packet callbacks: at steady state the event comes from and

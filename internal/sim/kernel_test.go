@@ -354,8 +354,11 @@ func TestQueueDifferential(t *testing.T) {
 		k := NewKernel()
 		var model []entry
 		var fired []int
-		var done []*Event // At events that already fired
+		var done []*Event      // At events that already fired
+		var cancelled []*Event // At events removed by Cancel
+		ids := map[*Event]int{}
 		cancels := map[string]int{}
+		rearms := map[string]int{}
 		nextID := 0
 		callFn := func(x any) { fired = append(fired, x.(int)) }
 		sortModel := func() {
@@ -391,6 +394,7 @@ func TestQueueDifferential(t *testing.T) {
 			} else {
 				id := m.id
 				m.ev = k.At(at, func() { fired = append(fired, id) })
+				ids[m.ev] = id
 			}
 			model = append(model, m)
 		}
@@ -404,12 +408,38 @@ func TestQueueDifferential(t *testing.T) {
 				}
 				model = append(model[:i], model[i+1:]...)
 				cancels[kind]++
+				cancelled = append(cancelled, e)
 				return
 			}
 		}
 
+		// rearm reschedules a spent event. Every other handle to it now
+		// names the new arming, so it leaves both spent lists.
+		rearm := func(kind string, list []*Event) {
+			if len(list) == 0 {
+				return
+			}
+			e := list[rng.Intn(len(list))]
+			done, cancelled = without(done, e), without(cancelled, e)
+			at := k.Now() + time.Duration(rng.Intn(8)) - 1
+			m := entry{at: max(at, k.Now()), seq: k.seq, id: ids[e], ev: e}
+			k.RearmAt(e, at)
+			if !e.Pending() || e.At() != m.at {
+				t.Fatalf("seed %d: re-armed event %d pending=%v at %v, want pending at %v", seed, m.id, e.Pending(), e.At(), m.at)
+			}
+			model = append(model, m)
+			rearms[kind]++
+		}
+
 		for op := 0; op < 2000; op++ {
-			switch r := rng.Intn(10); {
+			switch r := rng.Intn(11); {
+			case r == 10:
+				if rng.Intn(2) == 0 {
+					rearm("fired", done)
+				} else {
+					rearm("cancelled", cancelled)
+				}
+				check("RearmAt")
 			case r < 3:
 				schedule(false)
 				check("At")
@@ -478,5 +508,58 @@ func TestQueueDifferential(t *testing.T) {
 				t.Errorf("seed %d: no Cancel hit the %s case", seed, kind)
 			}
 		}
+		for _, kind := range []string{"fired", "cancelled"} {
+			if rearms[kind] == 0 {
+				t.Errorf("seed %d: no RearmAt hit a %s event", seed, kind)
+			}
+		}
+	}
+}
+
+// without returns list minus every occurrence of e.
+func without(list []*Event, e *Event) []*Event {
+	out := list[:0]
+	for _, x := range list {
+		if x != e {
+			out = append(out, x)
+		}
+	}
+	return out
+}
+
+// TestRearmAt checks the re-arm primitive's contract: a spent event runs
+// its callback again, a pending one cannot be re-armed, and re-arming
+// takes a sequence number exactly as a fresh At would.
+func TestRearmAt(t *testing.T) {
+	k := NewKernel()
+	runs := 0
+	e := k.After(time.Millisecond, func() { runs++ })
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("RearmAt of a pending event did not panic")
+			}
+		}()
+		k.RearmAt(e, 2*time.Millisecond)
+	}()
+	if err := k.Run(); err != nil || runs != 1 {
+		t.Fatalf("first arming: runs=%d err=%v", runs, err)
+	}
+	k.RearmAfter(e, time.Millisecond)
+	tie := k.At(2*time.Millisecond, func() { runs += 10 })
+	if !e.Pending() || e.At() != 2*time.Millisecond || e.seq >= tie.seq {
+		t.Fatalf("re-armed event pending=%v at=%v seq=%d (tie seq %d)", e.Pending(), e.At(), e.seq, tie.seq)
+	}
+	if err := k.Run(); err != nil || runs != 12 {
+		t.Fatalf("after re-arm: runs=%d err=%v, want 12", runs, err)
+	}
+	if e.Pending() || e.Cancel() {
+		t.Fatal("a re-armed event that fired still reports pending")
+	}
+	k.RearmAfter(e, time.Millisecond)
+	e.Cancel()
+	k.RearmAfter(e, time.Millisecond)
+	if err := k.Run(); err != nil || runs != 13 || k.Executed() != 4 {
+		t.Fatalf("re-arm after cancel: runs=%d executed=%d err=%v, want 13 and 4", runs, k.Executed(), err)
 	}
 }

@@ -23,7 +23,7 @@ type net struct {
 	hosts  map[string]*Host
 }
 
-func newNet(t *testing.T) *net {
+func newNet(t testing.TB) *net {
 	t.Helper()
 	k := sim.NewKernel()
 	return &net{
@@ -34,7 +34,7 @@ func newNet(t *testing.T) *net {
 	}
 }
 
-func (n *net) addHost(t *testing.T, name string, ip string, prof nic.Profile, fwall *hostfw.Firewall) *Host {
+func (n *net) addHost(t testing.TB, name string, ip string, prof nic.Profile, fwall *hostfw.Firewall) *Host {
 	t.Helper()
 	addr := packet.MustIP(ip)
 	mac := packet.MAC{2, 0, 0, 0, 0, byte(len(n.macs) + 1)}
@@ -56,7 +56,7 @@ func (n *net) addHost(t *testing.T, name string, ip string, prof nic.Profile, fw
 	return h
 }
 
-func twoHosts(t *testing.T) (*net, *Host, *Host) {
+func twoHosts(t testing.TB) (*net, *Host, *Host) {
 	n := newNet(t)
 	a := n.addHost(t, "a", "10.0.0.1", nic.Standard(), nil)
 	b := n.addHost(t, "b", "10.0.0.2", nic.Standard(), nil)

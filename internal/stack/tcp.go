@@ -74,8 +74,12 @@ type Conn struct {
 	wnd   uint32
 
 	// Send side. buf holds unacknowledged and unsent bytes; bufSeq is
-	// the sequence number of buf[0].
+	// the sequence number of buf[0]. bufMem is buf's whole backing
+	// array: acknowledged bytes are trimmed off buf's front, and Write
+	// moves the rest back to the start of bufMem when the tail runs out
+	// of room, so a steady sender never reallocates.
 	buf       []byte
+	bufMem    []byte
 	bufSeq    uint32
 	iss       uint32
 	sndUna    uint32
@@ -89,8 +93,11 @@ type Conn struct {
 	finSent   bool
 	finSeq    uint32
 
+	// rtoTimer is created on first use and then re-armed in place
+	// (sim.Kernel.RearmAfter); rtoFn is onRTO, bound once.
 	rto         time.Duration
 	rtoTimer    *sim.Event
+	rtoFn       func()
 	retransmits int
 	timeWait    *sim.Event
 
@@ -177,6 +184,7 @@ func (h *Host) newConn(key connKey, state ConnState) *Conn {
 		sndMax:  iss + 1,
 		rto:     initialRTO,
 	}
+	c.rtoFn = c.onRTO
 	c.cwnd = 4 * c.mss // RFC 3390-style initial window
 	c.ssthresh = defaultWindow
 	c.ooo = make(map[uint32][]byte)
@@ -203,8 +211,23 @@ func (c *Conn) MSS() int { return c.mss }
 func (c *Conn) Buffered() int { return len(c.buf) }
 
 // Write queues payload for transmission. It returns an error once the
-// local side has closed or the connection is dead.
+// local side has closed or the connection is dead. On the bulk-sender
+// hot path: a steady Write/ACK cycle allocates nothing.
+//
+//barbican:noalloc
 func (c *Conn) Write(data []byte) error {
+	if err := c.writable(); err != nil {
+		return err
+	}
+	c.reserve(len(data)) //barbican:allow alloc -- grows only while the buffered data outgrows every earlier backing array
+	c.buf = append(c.buf, data...)
+	c.pump()
+	return nil
+}
+
+// writable reports why the connection cannot accept more data, if it
+// cannot.
+func (c *Conn) writable() error {
 	switch c.state {
 	case StateSynSent, StateSynRcvd, StateEstablished, StateCloseWait:
 	default:
@@ -213,9 +236,24 @@ func (c *Conn) Write(data []byte) error {
 	if c.finQueued {
 		return fmt.Errorf("stack: write after close")
 	}
-	c.buf = append(c.buf, data...)
-	c.pump()
 	return nil
+}
+
+// reserve makes room for n more bytes at the end of buf. The bytes
+// still buffered move to the front of the backing array when that
+// frees enough room, so a sender whose backlog stays bounded stops
+// allocating once the array has grown to hold it. Growth leaves an
+// eighth of slack: geometric, but without doubling the memory a bulk
+// sender's backlog occupies.
+func (c *Conn) reserve(n int) {
+	if cap(c.buf)-len(c.buf) >= n {
+		return
+	}
+	need := len(c.buf) + n
+	if need > len(c.bufMem) {
+		c.bufMem = make([]byte, need+need/8)
+	}
+	c.buf = c.bufMem[:copy(c.bufMem, c.buf)]
 }
 
 // Close initiates a graceful close: queued data is sent, then a FIN.
@@ -578,24 +616,27 @@ func (c *Conn) sendSegment(flags packet.TCPFlags, seq uint32, payload []byte, re
 	c.host.send(c.key.remote, packet.ProtoTCP, c.tx)
 }
 
+// armRTO starts the retransmission timer unless it is already running.
+// On the per-ACK hot path: after the first arming it re-arms the same
+// event and allocates nothing.
+//
+//barbican:noalloc
 func (c *Conn) armRTO() {
-	if c.rtoTimer != nil && c.rtoTimer.Pending() {
-		return
+	switch {
+	case c.rtoTimer == nil:
+		c.rtoTimer = c.host.kernel.After(c.rto, c.rtoFn)
+	case !c.rtoTimer.Pending():
+		c.host.kernel.RearmAfter(c.rtoTimer, c.rto)
 	}
-	c.rtoTimer = c.host.kernel.After(c.rto, c.onRTO)
 }
 
 func (c *Conn) resetRTOState() {
-	if c.rtoTimer != nil {
-		c.rtoTimer.Cancel()
-		c.rtoTimer = nil
-	}
+	c.rtoTimer.Cancel()
 	c.retransmits = 0
 	c.rto = initialRTO
 }
 
 func (c *Conn) onRTO() {
-	c.rtoTimer = nil
 	if c.state == StateClosed || c.state == StateTimeWait {
 		return
 	}

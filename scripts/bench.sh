@@ -26,7 +26,9 @@
 # BenchmarkTelemetrySnapshotEncode build path, and
 # BenchmarkRxPathStateful plus BenchmarkConntrack's lookup variants
 # hold the conntrack-enabled ingress there too, as BenchmarkSwitchForward
-# does for the switch's store-and-forward path).
+# does for the switch's store-and-forward path, BenchmarkNICSend for the
+# card's pooled transmit path and BenchmarkHostReceive for the host
+# stack's by-value receive path).
 # Benchmarks present on only one side are reported but never fail the
 # gate, so adding or renaming a benchmark doesn't break CI.
 #
@@ -53,7 +55,7 @@ out="${1:-BENCH_baseline.json}"
 if [ -n "$baseline" ] && [ "$#" -eq 0 ]; then
   out="$(mktemp --suffix .json)"
 fi
-pkgs="./internal/nic ./internal/nic/conntrack ./internal/fw ./internal/fw/sem ./internal/sim ./internal/link ./internal/packet ./internal/measure ./internal/telemetry"
+pkgs="./internal/nic ./internal/nic/conntrack ./internal/fw ./internal/fw/sem ./internal/sim ./internal/link ./internal/packet ./internal/stack ./internal/measure ./internal/telemetry"
 
 raw="$(mktemp)"
 trap 'rm -f "$raw"' EXIT
