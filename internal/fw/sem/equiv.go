@@ -3,6 +3,7 @@ package sem
 import (
 	"fmt"
 	"math/big"
+	"math/bits"
 
 	"barbican/internal/fw"
 	"barbican/internal/packet"
@@ -138,35 +139,78 @@ const (
 	defaultMaxWitnesses  = 8
 )
 
-// universeSize returns the number of packet tuples in the modeled
-// space: for each of the 8 classes, the product of its axis widths.
-func universeSize() *big.Int {
-	total := new(big.Int)
+// universe is the number of packet tuples in the modeled space.
+var universe = universeSize()
+
+// universeSize sums, over the 8 classes, the product of the class's
+// axis widths.
+func universeSize() u128 {
+	var total u128
 	for _, c := range classes {
-		p := big.NewInt(1)
-		for _, axis := range axesFor(c) {
-			w := new(big.Int).SetUint64(uint64(axisMax[axis]) + 1)
-			p.Mul(p, w)
-		}
-		total.Add(total, p)
+		total = total.add(tailCount(axesFor(c)))
 	}
 	return total
 }
 
-// diffNode is one memoized subtree result: packet counts per class
-// over the remaining axes, changed-region count, and (when the
-// subtree contains a changed region) the axis spans of one changed
-// path for witness reconstruction.
-type diffNode struct {
-	byClass [NumRegionClasses]big.Int
-	regions uint64 // changed regions in the subtree
-	suffix  []fw.Span
-	sClass  RegionClass
-	sFrom   RegionVerdict
-	sTo     RegionVerdict
+// tailCount is the number of packet tuples spanned by the given axes
+// taken whole.
+func tailCount(axes []int) u128 {
+	count := u128{lo: 1}
+	for _, axis := range axes {
+		count = count.mul64(uint64(axisMax[axis]) + 1)
+	}
+	return count
 }
 
-func (n *diffNode) changed() bool { return n.suffix != nil }
+// u128 is an unsigned 128-bit packet count. The whole modeled universe
+// holds about 8.1e31 packets, under 2^107, so every count fits; the
+// arithmetic panics on carry-out, which only a bug can cause.
+type u128 struct{ hi, lo uint64 }
+
+func (x u128) add(y u128) u128 {
+	lo, carry := bits.Add64(x.lo, y.lo, 0)
+	hi, carry := bits.Add64(x.hi, y.hi, carry)
+	if carry != 0 {
+		panic("sem: packet count overflows 128 bits")
+	}
+	return u128{hi: hi, lo: lo}
+}
+
+func (x u128) mul64(y uint64) u128 {
+	over, hi := bits.Mul64(x.hi, y)
+	mid, lo := bits.Mul64(x.lo, y)
+	hi, carry := bits.Add64(hi, mid, 0)
+	if over != 0 || carry != 0 {
+		panic("sem: packet count overflows 128 bits")
+	}
+	return u128{hi: hi, lo: lo}
+}
+
+// big converts the count for DiffResult.
+func (x u128) big() *big.Int {
+	b := new(big.Int).SetUint64(x.hi)
+	b.Lsh(b, 64)
+	return b.Or(b, new(big.Int).SetUint64(x.lo))
+}
+
+// diffNode is one memoized subtree result: packet counts per class
+// over the remaining axes, changed-region count, and (when the
+// subtree contains a changed region) one changed path for witness
+// reconstruction.
+type diffNode struct {
+	byClass [NumRegionClasses]u128
+	regions uint64 // changed regions in the subtree; > 0 means changed
+	// The witness path continues with segment wSeg of this node's
+	// axis and then inner child wChild's path (-1 when the child is a
+	// leaf). tail marks a collapsed subtree whose path spans every
+	// remaining axis whole. from and to are the deciding rule indexes
+	// of the witness region under each set, class their relation.
+	wSeg, wChild int32
+	from, to     int32
+	class        RegionClass
+	tail         bool
+	done         bool
+}
 
 // actionChange reports whether the class is an enforcement change
 // (not a mere attribution change). Witness selection prefers these.
@@ -174,12 +218,47 @@ func actionChange(c RegionClass) bool {
 	return c == RegionAllowToDeny || c == RegionDenyToAllow
 }
 
+// diffWalker walks the joint decomposition of two sets. Nodes are
+// keyed by header + maskA + maskB, inner nodes in tab and leaves in
+// leaves, so a node ID is both the dedup key of a child within an
+// expansion and, for an inner node, the memo slot of its subtree. A
+// leaf stores nothing: its verdicts are its masks' first bits.
 type diffWalker struct {
 	sp     *space
 	a, b   *setTables
-	memo   map[string]*diffNode
+	tab    *internTable
+	leaves *internTable
+	nodes  []diffNode // per inner node ID
 	budget uint64
 	work   uint64
+	serial uint32 // expansions so far
+	// keys holds one scratch key per level and groupBuf one group
+	// list per level, reused by every expansion at that level.
+	keys     []uint64
+	groupBuf [numAxes][]diffGroup
+	runs     *runScratch
+	spans    [numAxes]fw.Span
+}
+
+func newDiffWalker(sp *space, budget uint64) *diffWalker {
+	width := 1 + sp.sets[0].words + sp.sets[1].words
+	return &diffWalker{
+		sp: sp, a: sp.sets[0], b: sp.sets[1],
+		tab:    newInternTable(width),
+		leaves: newInternTable(width),
+		nodes:  make([]diffNode, 0, 512),
+		budget: budget,
+		keys:   make([]uint64, (numAxes+1)*width),
+		runs:   newRunScratch(sp),
+	}
+}
+
+// verdicts maps a pair of deciding rule indexes to the two sets'
+// verdicts and their relation.
+func (w *diffWalker) verdicts(from, to int32) (va, vb RegionVerdict, cls RegionClass) {
+	va = RegionVerdict{Action: w.a.verdictOf(int(from)), Index: int(from)}
+	vb = RegionVerdict{Action: w.b.verdictOf(int(to)), Index: int(to)}
+	return va, vb, classify(va, vb)
 }
 
 // Diff computes the exact semantic difference from rule set a (V1) to
@@ -200,40 +279,42 @@ func Diff(a, b *fw.RuleSet, opts DiffOptions) (*DiffResult, error) {
 	if opts.MaxWitnesses == 0 {
 		opts.MaxWitnesses = defaultMaxWitnesses
 	}
-	sp := newSpace(a, b)
-	w := &diffWalker{sp: sp, a: sp.sets[0], b: sp.sets[1],
-		memo: make(map[string]*diffNode), budget: opts.MaxRegions}
+	w := newDiffWalker(newSpace(a, b), opts.MaxRegions)
 
-	res := &DiffResult{
-		ChangedPackets:   new(big.Int),
-		RedecidedPackets: new(big.Int),
-		TotalPackets:     universeSize(),
-	}
-	for i := range res.ByClass {
-		res.ByClass[i] = new(big.Int)
-	}
+	res := &DiffResult{}
+	var byClass [NumRegionClasses]u128
 	for _, c := range classes {
 		axes := axesFor(c)
-		node, err := w.recurse(c, axes, 0, w.a.startMask(c), w.b.startMask(c))
-		if err != nil {
+		root := w.levelKey(0)
+		root[0] = nodeHeader(len(axes), 0)
+		copy(root[1:], w.a.startMask(c))
+		copy(root[1+w.a.words:], w.b.startMask(c))
+		id, _ := w.tab.intern(root)
+		if err := w.recurse(axes, 0, id); err != nil {
 			return nil, err
 		}
-		for i := range res.ByClass {
-			res.ByClass[i].Add(res.ByClass[i], &node.byClass[i])
+		node := &w.nodes[id]
+		for i := range byClass {
+			byClass[i] = byClass[i].add(node.byClass[i])
 		}
 		res.ChangedRegions += node.regions
-		if node.changed() && len(res.Witnesses) < opts.MaxWitnesses {
-			region := regionFor(c, node.suffix)
+		if node.regions > 0 && len(res.Witnesses) < opts.MaxWitnesses {
+			region := regionFor(c, w.witnessPath(axes, id))
 			pkt, dir := region.Witness()
+			from, to, cls := w.verdicts(node.from, node.to)
 			res.Witnesses = append(res.Witnesses, RegionDiff{
-				Region: region, Class: node.sClass,
-				From: node.sFrom, To: node.sTo,
+				Region: region, Class: cls,
+				From: from, To: to,
 				Packet: pkt, Dir: dir,
 			})
 		}
 	}
-	res.ChangedPackets.Add(res.ByClass[RegionAllowToDeny], res.ByClass[RegionDenyToAllow])
-	res.RedecidedPackets.Set(res.ByClass[RegionRedecided])
+	for i := range res.ByClass {
+		res.ByClass[i] = byClass[i].big()
+	}
+	res.ChangedPackets = byClass[RegionAllowToDeny].add(byClass[RegionDenyToAllow]).big()
+	res.RedecidedPackets = byClass[RegionRedecided].big()
+	res.TotalPackets = universe.big()
 	res.Equivalent = res.ChangedPackets.Sign() == 0 &&
 		(!opts.StrictIndex || res.RedecidedPackets.Sign() == 0)
 	return res, nil
@@ -251,130 +332,151 @@ func Equivalent(a, b *fw.RuleSet) (bool, []RegionDiff, error) {
 
 // diffGroup is one mask-distinct child during a level expansion.
 type diffGroup struct {
-	repSeg int
+	id     int32 // the child's node: a leaf below the last level
+	repSeg int32
 	width  uint64
-	mA, mB []uint64
 }
 
-func (w *diffWalker) recurse(c class, axes []int, level int, mA, mB []uint64) (*diffNode, error) {
-	// Leaf: all axes chosen; the first live bit per set is the
-	// first-match rule for every packet in the region.
-	if level == len(axes) {
-		w.work++
-		if w.work > w.budget {
-			return nil, fmt.Errorf("sem: region budget %d exceeded (raise MaxRegions)", w.budget)
-		}
-		return w.leaf(mA, mB), nil
-	}
+// levelKey returns the scratch key buffer for a node at level.
+func (w *diffWalker) levelKey(level int) []uint64 {
+	return w.keys[level*w.tab.width : (level+1)*w.tab.width]
+}
 
-	key := w.key(len(axes), level, mA, mB)
-	if n, ok := w.memo[key]; ok {
-		return n, nil
+// recurse computes inner node id's subtree result once; later visits
+// reuse it. Leaves are classified in place, and every leaf visit
+// counts against the region budget.
+func (w *diffWalker) recurse(axes []int, level int, id int32) error {
+	if n := w.tab.len() - len(w.nodes); n > 0 {
+		w.nodes = reserve(w.nodes, n)[:w.tab.len()]
 	}
+	if w.nodes[id].done {
+		return nil
+	}
+	key := w.tab.key(id)
+	mA, mB := key[1:1+w.a.words], key[1+w.a.words:]
 
-	// Both sets dead: every deeper region takes the two default
-	// actions, so the whole subtree collapses to one outcome times
-	// the product of the remaining axis widths.
+	var n diffNode
 	if maskEmpty(mA) && maskEmpty(mB) {
-		n := w.emptyTail(c, axes, level)
-		w.memo[key] = n
-		return n, nil
+		// Both sets dead: every deeper region takes the two default
+		// actions, so the whole subtree collapses to one outcome
+		// times the product of the remaining axis widths.
+		n = w.emptyTail(axes[level:])
+	} else {
+		for _, g := range w.groups(axes, level, mA, mB) {
+			var child diffNode
+			if level+1 == len(axes) {
+				w.work++
+				if w.work > w.budget {
+					return fmt.Errorf("sem: region budget %d exceeded (raise MaxRegions)", w.budget)
+				}
+				child = w.leaf(g.id)
+				g.id = -1
+			} else {
+				if err := w.recurse(axes, level+1, g.id); err != nil {
+					return err
+				}
+				child = w.nodes[g.id]
+			}
+			n.add(&child, g)
+		}
 	}
-
-	groups := w.groups(axes[level], mA, mB)
-	n := &diffNode{}
-	for _, g := range groups {
-		child, err := w.recurse(c, axes, level+1, g.mA, g.mB)
-		if err != nil {
-			return nil, err
-		}
-		width := new(big.Int).SetUint64(g.width)
-		var tmp big.Int
-		for i := range n.byClass {
-			tmp.Mul(&child.byClass[i], width)
-			n.byClass[i].Add(&n.byClass[i], &tmp)
-		}
-		n.regions += child.regions
-		if child.changed() && (n.suffix == nil || (actionChange(child.sClass) && !actionChange(n.sClass))) {
-			n.suffix = append([]fw.Span{w.sp.segSpan(axes[level], g.repSeg)}, child.suffix...)
-			n.sClass, n.sFrom, n.sTo = child.sClass, child.sFrom, child.sTo
-		}
-	}
-	w.memo[key] = n
-	return n, nil
+	n.done = true
+	w.nodes[id] = n
+	return nil
 }
 
-// leaf classifies one fully-decomposed region.
-func (w *diffWalker) leaf(mA, mB []uint64) *diffNode {
-	va := RegionVerdict{Index: firstBit(mA)}
-	va.Action = w.a.verdictOf(va.Index)
-	vb := RegionVerdict{Index: firstBit(mB)}
-	vb.Action = w.b.verdictOf(vb.Index)
-	cls := classify(va, vb)
-	n := &diffNode{}
-	n.byClass[cls].SetUint64(1)
+// add folds one group's child into n: its counts scaled by the
+// group's width, its changed regions, and its witness when n has none
+// yet or the child's changes the action where n's only re-attributes.
+func (n *diffNode) add(child *diffNode, g diffGroup) {
+	for i := range n.byClass {
+		n.byClass[i] = n.byClass[i].add(child.byClass[i].mul64(g.width))
+	}
+	if child.regions > 0 && (n.regions == 0 || (actionChange(child.class) && !actionChange(n.class))) {
+		n.wSeg, n.wChild = g.repSeg, g.id
+		n.from, n.to, n.class = child.from, child.to, child.class
+	}
+	n.regions += child.regions
+}
+
+// leaf classifies one fully-decomposed region: the first live bit per
+// set is the first-match rule for every packet in it.
+func (w *diffWalker) leaf(id int32) diffNode {
+	key := w.leaves.key(id)
+	n := diffNode{
+		from: int32(firstBit(key[1 : 1+w.a.words])),
+		to:   int32(firstBit(key[1+w.a.words:])),
+	}
+	_, _, cls := w.verdicts(n.from, n.to)
+	n.byClass[cls] = u128{lo: 1}
 	if cls != RegionUnchanged {
 		n.regions = 1
-		n.suffix = []fw.Span{}
-		n.sClass, n.sFrom, n.sTo = cls, va, vb
+		n.class = cls
 	}
 	return n
 }
 
 // emptyTail is the collapsed subtree when no rule of either set is
 // alive: default action vs default action over every remaining value.
-func (w *diffWalker) emptyTail(c class, axes []int, level int) *diffNode {
-	va := RegionVerdict{Action: w.a.rs.Default()}
-	vb := RegionVerdict{Action: w.b.rs.Default()}
-	cls := classify(va, vb)
-	count := big.NewInt(1)
-	for _, axis := range axes[level:] {
-		count.Mul(count, new(big.Int).SetUint64(uint64(axisMax[axis])+1))
-	}
-	n := &diffNode{}
-	n.byClass[cls].Set(count)
+func (w *diffWalker) emptyTail(axes []int) diffNode {
+	_, _, cls := w.verdicts(0, 0)
+	var n diffNode
+	n.byClass[cls] = tailCount(axes)
 	if cls != RegionUnchanged {
 		n.regions = 1
-		n.suffix = make([]fw.Span, 0, len(axes)-level)
-		for _, axis := range axes[level:] {
-			n.suffix = append(n.suffix, fw.Span{Lo: 0, Hi: axisMax[axis]})
-		}
-		n.sClass, n.sFrom, n.sTo = cls, va, vb
+		n.tail = true
+		n.class = cls
 	}
 	return n
 }
 
-// groups expands one axis under the live masks, merging segments with
-// identical (maskA, maskB) pairs. Groups are ordered by first segment
-// so walks are deterministic.
-func (w *diffWalker) groups(axis int, mA, mB []uint64) []diffGroup {
-	var out []diffGroup
-	index := make(map[string]int)
-	segs := len(w.sp.bounds[axis])
-	var key []byte
-	for k := 0; k < segs; k++ {
-		cA := make([]uint64, w.a.words)
-		andMasks(cA, mA, w.a.segMask(axis, k))
-		cB := make([]uint64, w.b.words)
-		andMasks(cB, mB, w.b.segMask(axis, k))
-		key = key[:0]
-		key = appendMaskKey(key, cA)
-		key = appendMaskKey(key, cB)
-		if i, ok := index[string(key)]; ok {
-			out[i].width += w.sp.segWidth(axis, k)
-			continue
-		}
-		index[string(key)] = len(out)
-		out = append(out, diffGroup{repSeg: k, width: w.sp.segWidth(axis, k), mA: cA, mB: cB})
+// groups expands one level under the live masks into one group per
+// distinct (maskA, maskB) child, each summing the widths of the runs
+// that yield it. Groups are ordered by first segment so walks are
+// deterministic. The result is the level's reused group buffer.
+//
+//barbican:noalloc
+func (w *diffWalker) groups(axes []int, level int, mA, mB []uint64) []diffGroup {
+	axis := axes[level]
+	tab := w.tab
+	if level+1 == len(axes) {
+		tab = w.leaves
 	}
+	child := w.levelKey(level + 1)
+	child[0] = nodeHeader(len(axes), level+1)
+	cA, cB := child[1:1+w.a.words], child[1+w.a.words:]
+	w.a.markEdges(w.runs.marks, axis, mA)
+	w.b.markEdges(w.runs.marks, axis, mB)
+	starts := w.runs.collect(level, len(w.sp.bounds[axis]))
+	w.serial++
+	out := w.groupBuf[level][:0]
+	for r, k := range starts[:len(starts)-1] {
+		andMasks(cA, mA, w.a.segMask(axis, int(k)))
+		andMasks(cB, mB, w.b.segMask(axis, int(k)))
+		id, group := tab.meet(child, w.serial, int32(len(out)))
+		if int(group) == len(out) {
+			out = append(out, diffGroup{id: id, repSeg: k})
+		}
+		out[group].width += w.sp.runWidth(axis, int(k), int(starts[r+1]))
+	}
+	w.groupBuf[level] = out
 	return out
 }
 
-// key builds the memo key: axis-list length, level, and both masks.
-func (w *diffWalker) key(axesLen, level int, mA, mB []uint64) string {
-	key := make([]byte, 0, 2+8*(len(mA)+len(mB)))
-	key = append(key, byte(axesLen), byte(level))
-	key = appendMaskKey(key, mA)
-	key = appendMaskKey(key, mB)
-	return string(key)
+// witnessPath follows a changed node's witness path down to a leaf and
+// returns one span per axis.
+func (w *diffWalker) witnessPath(axes []int, id int32) []fw.Span {
+	spans := w.spans[:0]
+	for level := 0; id >= 0; level++ {
+		n := &w.nodes[id]
+		if n.tail {
+			for _, axis := range axes[level:] {
+				spans = append(spans, fw.Span{Lo: 0, Hi: axisMax[axis]})
+			}
+			break
+		}
+		spans = append(spans, w.sp.segSpan(axes[level], int(n.wSeg)))
+		id = n.wChild
+	}
+	return spans
 }

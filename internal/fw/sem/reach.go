@@ -39,30 +39,28 @@ func ExactLint(rs *fw.RuleSet, opts fw.LintOptions) []fw.Finding {
 	}
 	sp := newSpace(rs)
 	t := sp.sets[0]
-	w := &lintWalker{sp: sp, t: t, memo: make(map[string][]uint64)}
-
-	reached := make([]uint64, t.words)
+	w := newLintWalker(sp)
 	for _, c := range classes {
-		r := w.reach(axesFor(c), 0, t.startMask(c))
-		for wd := range reached {
-			reached[wd] |= r[wd]
-		}
+		w.walkClass(c)
 	}
 
 	var findings []fw.Finding
 	for i := 1; i <= t.n; i++ {
 		ri := &t.rules[i-1]
-		winners := bitsOf(w.winners(i))
-		if !hasBit(reached, i) {
-			findings = append(findings, classifyUnreachable(t, i, winners))
+		winners := w.winners(i)
+		if !hasBit(w.reached, i) {
+			findings = append(findings, classifyUnreachable(t, i, bitsOf(winners)))
 			continue
 		}
-		for _, j := range winners {
-			rj := &t.rules[j-1]
-			if rj.Action == ri.Action || coversExact(ri, rj) {
-				continue
+		for wd, x := range winners {
+			for ; x != 0; x &= x - 1 {
+				j := wd*64 + bits.TrailingZeros64(x) + 1
+				rj := &t.rules[j-1]
+				if rj.Action == ri.Action || coversExact(ri, rj) {
+					continue
+				}
+				findings = append(findings, fw.Finding{Kind: fw.FindingConflict, Rule: i, By: j})
 			}
-			findings = append(findings, fw.Finding{Kind: fw.FindingConflict, Rule: i, By: j})
 		}
 		if opts.DepthWarn > 0 && i > opts.DepthWarn {
 			findings = append(findings, fw.Finding{Kind: fw.FindingDepth, Rule: i, Depth: i})
@@ -95,103 +93,109 @@ func classifyUnreachable(t *setTables, i int, winners []int) fw.Finding {
 	return fw.Finding{Kind: kind, Rule: i, Covering: winners}
 }
 
+// lintWalker walks every distinct node of the region decomposition
+// once and records, at each distinct leaf, which rule decides it and
+// which rules it takes packets from.
+//
+// Rule j wins against rule i exactly when some leaf mask m holds bit i
+// and firstBit(m) = j: every node on the path to that leaf holds bit i
+// too, because masks only lose bits on the way down. So one walk over
+// the distinct leaves fills every rule's winner set; there is no need
+// to walk the decomposition again per rule.
 type lintWalker struct {
-	sp   *space
-	t    *setTables
-	memo map[string][]uint64 // subtree → reached first-match bitset
+	sp  *space
+	t   *setTables
+	tab *internTable // visited nodes: header + live mask
+	// keys holds one scratch key per level: a child key is built in
+	// place and copied into tab only when it is new.
+	keys []uint64
+	runs *runScratch
+	// reached is the set of rules that decide at least one region.
+	reached []uint64
+	// wins holds rule i's winners at [(i-1)*words : i*words].
+	wins []uint64
 }
 
-// reach returns the bitset of rules that are the first match of at
-// least one region in the subtree. Memoized: identical (remaining
-// axes, live mask) subtrees reach identical rule sets.
-func (w *lintWalker) reach(axes []int, level int, mask []uint64) []uint64 {
-	if maskEmpty(mask) {
-		return make([]uint64, w.t.words)
+func newLintWalker(sp *space) *lintWalker {
+	t := sp.sets[0]
+	width := 1 + t.words
+	return &lintWalker{
+		sp: sp, t: t,
+		tab:     newInternTable(width),
+		keys:    make([]uint64, (numAxes+1)*width),
+		runs:    newRunScratch(sp),
+		reached: make([]uint64, t.words),
+		wins:    make([]uint64, t.n*t.words),
 	}
-	key := nodeKey(len(axes), level, mask)
-	if r, ok := w.memo[key]; ok {
-		return r
+}
+
+// walkClass visits every node below one class root not visited yet.
+func (w *lintWalker) walkClass(c class) {
+	axes := axesFor(c)
+	root := w.levelKey(0)
+	root[0] = nodeHeader(len(axes), 0)
+	copy(root[1:], w.t.startMask(c))
+	if maskEmpty(root[1:]) {
+		return
 	}
-	out := make([]uint64, w.t.words)
+	if id, fresh := w.tab.intern(root); fresh {
+		w.visit(axes, 0, w.tab.key(id)[1:])
+	}
+}
+
+// levelKey returns the scratch key buffer for a node at level.
+func (w *lintWalker) levelKey(level int) []uint64 {
+	return w.keys[level*w.tab.width : (level+1)*w.tab.width]
+}
+
+// visit expands one newly visited node: a leaf is recorded, an inner
+// node descends into each child (one per run) it has not visited
+// before. A child with no live rule decides nothing and is skipped.
+//
+//barbican:noalloc
+func (w *lintWalker) visit(axes []int, level int, mask []uint64) {
 	if level == len(axes) {
-		f := firstBit(mask) // >= 1: mask is non-empty
-		out[(f-1)/64] |= 1 << (uint(f-1) % 64)
-		w.memo[key] = out
-		return out
+		w.recordLeaf(mask)
+		return
 	}
 	axis := axes[level]
-	seen := make(map[string]struct{})
-	child := make([]uint64, w.t.words)
-	var ckey []byte
-	for k := 0; k < len(w.sp.bounds[axis]); k++ {
-		andMasks(child, mask, w.t.segMask(axis, k))
-		ckey = appendMaskKey(ckey[:0], child)
-		if _, ok := seen[string(ckey)]; ok {
+	child := w.levelKey(level + 1)
+	child[0] = nodeHeader(len(axes), level+1)
+	w.t.markEdges(w.runs.marks, axis, mask)
+	starts := w.runs.collect(level, len(w.sp.bounds[axis]))
+	for _, k := range starts[:len(starts)-1] {
+		andMasks(child[1:], mask, w.t.segMask(axis, int(k)))
+		if maskEmpty(child[1:]) {
 			continue
 		}
-		seen[string(ckey)] = struct{}{}
-		cc := make([]uint64, w.t.words)
-		copy(cc, child)
-		r := w.reach(axes, level+1, cc)
-		for wd := range out {
-			out[wd] |= r[wd]
+		if id, fresh := w.tab.intern(child); fresh {
+			w.visit(axes, level+1, w.tab.key(id)[1:])
 		}
 	}
-	w.memo[key] = out
-	return out
 }
 
-// winners returns the bitset of rules that decide at least one region
-// in which rule i (1-based) also matches: the rules that take i's
-// packets. For an unreachable i this is its exact covering set; for a
-// reachable i it contains i itself plus every rule that beats it
-// somewhere.
-func (w *lintWalker) winners(i int) []uint64 {
-	out := make([]uint64, w.t.words)
-	visited := make(map[string]struct{})
-	for _, c := range classes {
-		m := w.t.startMask(c)
-		if !hasBit(m, i) {
-			continue
+// recordLeaf notes that the leaf's first live rule f decides a region,
+// and that f takes packets from every rule live in it.
+func (w *lintWalker) recordLeaf(mask []uint64) {
+	f := firstBit(mask) // >= 1: mask is non-empty
+	fword, fbit := (f-1)/64, uint64(1)<<(uint(f-1)%64)
+	w.reached[fword] |= fbit
+	for wd, x := range mask {
+		for ; x != 0; x &= x - 1 {
+			i := wd*64 + bits.TrailingZeros64(x)
+			w.wins[i*w.t.words+fword] |= fbit
 		}
-		w.winRecurse(axesFor(c), 0, m, i, out, visited)
 	}
-	// Drop i itself: callers want the rules competing with i.
+}
+
+// winners returns the rules that decide at least one region in which
+// rule i (1-based) also matches, without i itself: the rules that take
+// i's packets. For an unreachable i this is its exact covering set.
+// The result aliases the walker's table; i's own bit is cleared in it.
+func (w *lintWalker) winners(i int) []uint64 {
+	out := w.wins[(i-1)*w.t.words : i*w.t.words]
 	out[(i-1)/64] &^= 1 << (uint(i-1) % 64)
 	return out
-}
-
-func (w *lintWalker) winRecurse(axes []int, level int, mask []uint64, i int, out []uint64, visited map[string]struct{}) {
-	key := nodeKey(len(axes), level, mask)
-	if _, ok := visited[key]; ok {
-		return
-	}
-	visited[key] = struct{}{}
-	if level == len(axes) {
-		f := firstBit(mask) // >= 1: bit i is set
-		out[(f-1)/64] |= 1 << (uint(f-1) % 64)
-		return
-	}
-	axis := axes[level]
-	child := make([]uint64, w.t.words)
-	for k := 0; k < len(w.sp.bounds[axis]); k++ {
-		andMasks(child, mask, w.t.segMask(axis, k))
-		if !hasBit(child, i) {
-			continue // rule i dead below: region is outside i's space
-		}
-		cc := make([]uint64, w.t.words)
-		copy(cc, child)
-		w.winRecurse(axes, level+1, cc, i, out, visited)
-	}
-}
-
-// nodeKey builds a memo key from the remaining-axis identity and the
-// live mask.
-func nodeKey(axesLen, level int, mask []uint64) string {
-	key := make([]byte, 0, 2+8*len(mask))
-	key = append(key, byte(axesLen), byte(level))
-	key = appendMaskKey(key, mask)
-	return string(key)
 }
 
 // bitsOf expands a bitset into ascending 1-based indices.

@@ -223,3 +223,83 @@ func TestExactReachabilityProbes(t *testing.T) {
 		}
 	}
 }
+
+// refNode identifies a node of the decomposition for refWinners: the
+// class's axis count, the level, and a live mask of up to three words.
+type refNode struct {
+	axes, level int
+	mask        [3]uint64
+}
+
+// refWinners is the per-rule reference for lintWalker's one-pass
+// winners: a walk of rule i's own share of the decomposition, from
+// every class root that holds i, descending only into children where i
+// stays live and recording the first live rule of each leaf reached.
+// Nodes are deduplicated by (axes, level, mask) as in the one-pass walk.
+func refWinners(sp *space, i int) []uint64 {
+	t := sp.sets[0]
+	out := make([]uint64, t.words)
+	visited := make(map[refNode]bool)
+	for _, c := range classes {
+		m := t.startMask(c)
+		if !hasBit(m, i) {
+			continue
+		}
+		refWinRecurse(sp, axesFor(c), 0, m, i, out, visited)
+	}
+	out[(i-1)/64] &^= 1 << (uint(i-1) % 64)
+	return out
+}
+
+func refWinRecurse(sp *space, axes []int, level int, mask []uint64, i int, out []uint64, visited map[refNode]bool) {
+	key := refNode{axes: len(axes), level: level}
+	copy(key.mask[:], mask)
+	if visited[key] {
+		return
+	}
+	visited[key] = true
+	if level == len(axes) {
+		f := firstBit(mask) // >= 1: bit i is set
+		out[(f-1)/64] |= 1 << (uint(f-1) % 64)
+		return
+	}
+	t := sp.sets[0]
+	axis := axes[level]
+	for k := 0; k < len(sp.bounds[axis]); k++ {
+		seg := t.segMask(axis, k)
+		if !hasBit(seg, i) {
+			continue // rule i dead below: region is outside i's space
+		}
+		child := make([]uint64, t.words)
+		andMasks(child, mask, seg)
+		refWinRecurse(sp, axes, level+1, child, i, out, visited)
+	}
+}
+
+// TestLintWinnersMatchPerRuleWalk is the differential between
+// ExactLint's one-pass winner sets and the per-rule reference walk on
+// 150 seeded sets of 1 to 140 rules (one to three mask words), plus
+// the reached set: a rule decides some region exactly when it wins
+// somewhere against itself.
+func TestLintWinnersMatchPerRuleWalk(t *testing.T) {
+	for seed := int64(1); seed <= 150; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		n := 1 + int(seed*37)%140
+		rs := Generate(r, GenOptions{Rules: n})
+		sp := newSpace(rs)
+		w := newLintWalker(sp)
+		for _, c := range classes {
+			w.walkClass(c)
+		}
+		for i := 1; i <= n; i++ {
+			self := hasBit(w.wins[(i-1)*w.t.words:i*w.t.words], i)
+			if self != hasBit(w.reached, i) {
+				t.Fatalf("seed %d (%d rules): rule %d wins against itself=%v but reached=%v", seed, n, i, self, !self)
+			}
+			got, want := w.winners(i), refWinners(sp, i)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("seed %d (%d rules): rule %d winners %v, per-rule walk %v", seed, n, i, bitsOf(got), bitsOf(want))
+			}
+		}
+	}
+}

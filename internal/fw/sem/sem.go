@@ -28,7 +28,7 @@ package sem
 import (
 	"fmt"
 	"math/bits"
-	"sort"
+	"slices"
 	"strings"
 
 	"barbican/internal/fw"
@@ -119,6 +119,12 @@ type setTables struct {
 	// axisMasks[axis] holds one words-sized mask per segment of the
 	// shared cuts, flattened.
 	axisMasks [numAxes][]uint64
+	// edges[axis] holds, for rule i at [2i] and [2i+1], the first
+	// segment the rule covers and one past the last: the only two
+	// segments where the rule's coverage changes. cutting[axis] is the
+	// mask of rules that do not cover the whole axis.
+	edges   [numAxes][]int32
+	cutting [numAxes][]uint64
 }
 
 // space is the joint decomposition of the packet space for one or two
@@ -147,14 +153,8 @@ func newSpace(sets ...*fw.RuleSet) *space {
 				}
 			}
 		}
-		sort.Slice(cuts, func(i, j int) bool { return cuts[i] < cuts[j] })
-		uniq := cuts[:1]
-		for _, b := range cuts[1:] {
-			if b != uniq[len(uniq)-1] {
-				uniq = append(uniq, b)
-			}
-		}
-		sp.bounds[axis] = uniq
+		slices.Sort(cuts)
+		sp.bounds[axis] = slices.Compact(cuts)
 	}
 	for _, rs := range sets {
 		sp.sets = append(sp.sets, newSetTables(rs, sp))
@@ -162,11 +162,12 @@ func newSpace(sets ...*fw.RuleSet) *space {
 	return sp
 }
 
-// segWidth returns the number of values in segment k of an axis.
-func (sp *space) segWidth(axis, k int) uint64 {
+// runWidth returns the number of values in segments k to next-1 of
+// an axis.
+func (sp *space) runWidth(axis, k, next int) uint64 {
 	b := sp.bounds[axis]
-	if k+1 < len(b) {
-		return uint64(b[k+1] - b[k])
+	if next < len(b) {
+		return uint64(b[next] - b[k])
 	}
 	return uint64(axisMax[axis]-b[k]) + 1
 }
@@ -209,18 +210,86 @@ func newSetTables(rs *fw.RuleSet, sp *space) *setTables {
 	for axis := 0; axis < numAxes; axis++ {
 		bounds := sp.bounds[axis]
 		masks := make([]uint64, len(bounds)*t.words)
+		edges := make([]int32, 2*n)
+		cutting := make([]uint64, t.words)
 		for i := range rules {
+			// Both ends of the span are cuts (or the axis ends), so
+			// the rule covers exactly segments lo to hi-1.
 			s := ruleSpan(&rules[i], axis)
+			lo, _ := slices.BinarySearch(bounds, s.Lo)
+			hi := len(bounds)
+			if s.Hi < axisMax[axis] {
+				hi, _ = slices.BinarySearch(bounds, s.Hi+1)
+			}
+			edges[2*i], edges[2*i+1] = int32(lo), int32(hi)
 			w, bit := i/64, uint64(1)<<(i%64)
-			for k, start := range bounds {
-				if s.Lo <= start && start <= s.Hi {
-					masks[k*t.words+w] |= bit
-				}
+			if lo > 0 || hi < len(bounds) {
+				cutting[w] |= bit
+			}
+			for k := lo; k < hi; k++ {
+				masks[k*t.words+w] |= bit
 			}
 		}
 		t.axisMasks[axis] = masks
+		t.edges[axis] = edges
+		t.cutting[axis] = cutting
 	}
 	return t
+}
+
+// markEdges sets, in the segment bitset marks, every segment of an
+// axis where a rule live in m starts or stops covering.
+func (t *setTables) markEdges(marks []uint64, axis int, m []uint64) {
+	edges, cutting := t.edges[axis], t.cutting[axis]
+	for w, x := range m {
+		for x &= cutting[w]; x != 0; x &= x - 1 {
+			i := w*64 + bits.TrailingZeros64(x)
+			lo, hi := edges[2*i], edges[2*i+1]
+			marks[lo/64] |= 1 << (uint(lo) % 64)
+			marks[hi/64] |= 1 << (uint(hi) % 64)
+		}
+	}
+}
+
+// runScratch expands a node's axis into runs: maximal stretches of
+// consecutive segments over which no live rule starts or stops
+// covering, so every segment of a run yields the same child. A node
+// has one child per run, not one per segment, and the runs come in
+// segment order, so the first run yielding a child starts at the
+// first segment that does.
+type runScratch struct {
+	marks  []uint64         // segment bitset, all zero between uses
+	starts [numAxes][]int32 // per level: run starts, then the segment count
+}
+
+func newRunScratch(sp *space) *runScratch {
+	segs := 0
+	for _, b := range sp.bounds {
+		segs = max(segs, len(b))
+	}
+	return &runScratch{marks: make([]uint64, segs/64+1)}
+}
+
+// collect returns the runs of an axis of segs segments marked by
+// markEdges for the node at level: the ascending run starts, then
+// segs. It clears the marks for the next expansion.
+//
+//barbican:noalloc
+func (sc *runScratch) collect(level, segs int) []int32 {
+	starts := sc.starts[level][:0]
+	sc.marks[0] |= 1
+	for w := 0; w <= segs/64; w++ {
+		x := sc.marks[w]
+		sc.marks[w] = 0
+		for ; x != 0; x &= x - 1 {
+			if k := w*64 + bits.TrailingZeros64(x); k < segs {
+				starts = append(starts, int32(k))
+			}
+		}
+	}
+	starts = append(starts, int32(segs))
+	sc.starts[level] = starts
+	return starts
 }
 
 // startMask returns the set's live mask at the root of a class walk.
@@ -276,17 +345,6 @@ func andMasks(dst, a, b []uint64) {
 	for w := range dst {
 		dst[w] = a[w] & b[w]
 	}
-}
-
-// appendMaskKey appends the mask's raw bytes to key (for map keys that
-// group identical mask combinations).
-func appendMaskKey(key []byte, m []uint64) []byte {
-	for _, x := range m {
-		key = append(key,
-			byte(x), byte(x>>8), byte(x>>16), byte(x>>24),
-			byte(x>>32), byte(x>>40), byte(x>>48), byte(x>>56))
-	}
-	return key
 }
 
 // verdictOf maps a first-match index to the set's action for it.

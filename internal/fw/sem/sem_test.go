@@ -330,3 +330,47 @@ func TestRegionWitnessInside(t *testing.T) {
 		}
 	}
 }
+
+// TestU128MatchesBigInt checks Diff's fixed-width counts against
+// math/big: the universe size, random products and sums, and the
+// overflow panic past 128 bits.
+func TestU128MatchesBigInt(t *testing.T) {
+	want := new(big.Int)
+	for _, c := range classes {
+		p := big.NewInt(1)
+		for _, axis := range axesFor(c) {
+			p.Mul(p, new(big.Int).SetUint64(uint64(axisMax[axis])+1))
+		}
+		want.Add(want, p)
+	}
+	if got := universe.big(); got.Cmp(want) != 0 {
+		t.Fatalf("universe = %v, want %v", got, want)
+	}
+
+	r := rand.New(rand.NewSource(1))
+	for i := 0; i < 1000; i++ {
+		x := u128{hi: r.Uint64() >> 34, lo: r.Uint64()}
+		y := u128{hi: r.Uint64() >> 34, lo: r.Uint64()}
+		m := r.Uint64() >> 32
+		got := x.mul64(m).add(y).big()
+		want := new(big.Int).Mul(x.big(), new(big.Int).SetUint64(m))
+		want.Add(want, y.big())
+		if got.Cmp(want) != 0 {
+			t.Fatalf("%v*%d+%v = %v, want %v", x.big(), m, y.big(), got, want)
+		}
+	}
+
+	for name, f := range map[string]func(){
+		"add": func() { u128{hi: ^uint64(0)}.add(u128{hi: 1}) },
+		"mul": func() { u128{hi: 1 << 63}.mul64(2) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s past 128 bits did not panic", name)
+				}
+			}()
+			f()
+		}()
+	}
+}

@@ -82,15 +82,19 @@ func VerifyCompiled(rs *fw.RuleSet, opts VerifyOptions) (*VerifyResult, error) {
 	compiled := fw.Compile(compiledSet)
 
 	sp := newSpace(rs)
+	t := sp.sets[0]
+	width := 1 + t.words
 	w := &verifyWalker{
-		sp: sp, t: sp.sets[0],
+		sp: sp, t: t,
 		walk: walk, compiled: compiled,
 		budget: opts.MaxRegions,
 		res:    &VerifyResult{Rules: rs.Len()},
+		tab:    newInternTable(width),
+		keys:   make([]uint64, (numAxes+1)*width),
+		runs:   newRunScratch(sp),
 	}
 	for _, c := range classes {
-		spans := make([]fw.Span, 0, numAxes)
-		if err := w.recurse(c, axesFor(c), 0, w.t.startMask(c), spans); err != nil {
+		if err := w.recurse(c, axesFor(c), 0, t.startMask(c)); err != nil {
 			return nil, err
 		}
 		if w.res.Mismatch != nil {
@@ -121,30 +125,45 @@ type verifyWalker struct {
 	compiled *fw.CompiledSet
 	budget   uint64
 	res      *VerifyResult
+
+	// tab interns child keys (header + live mask) so an expansion can
+	// tell a child it already met from a new one.
+	tab    *internTable
+	serial uint32 // expansions so far
+	// keys holds one scratch key per level; spans is the region
+	// chosen so far, one segment per walked axis.
+	keys  []uint64
+	runs  *runScratch
+	spans [numAxes]fw.Span
 }
 
-func (w *verifyWalker) recurse(c class, axes []int, level int, mask []uint64, spans []fw.Span) error {
+// recurse checks every region below one node, one per mask-distinct
+// child in first-segment order.
+func (w *verifyWalker) recurse(c class, axes []int, level int, mask []uint64) error {
 	if level == len(axes) {
-		return w.check(c, mask, spans)
+		return w.check(c, mask, w.spans[:len(axes)])
 	}
 	axis := axes[level]
-	segs := len(w.sp.bounds[axis])
+	width := w.tab.width
+	child := w.keys[(level+1)*width : (level+2)*width]
+	child[0] = nodeHeader(len(axes), level+1)
+	w.t.markEdges(w.runs.marks, axis, mask)
+	starts := w.runs.collect(level, len(w.sp.bounds[axis]))
+	w.serial++
+	serial := w.serial
+	var met int32 // distinct children so far
 	// Group mask-identical segments: one witness per distinct child
 	// suffices, because both matchers reduce the packet to its
 	// per-rule match bits before deciding.
-	seen := make(map[string]struct{}, segs)
-	child := make([]uint64, w.t.words)
-	var key []byte
-	for k := 0; k < segs; k++ {
-		andMasks(child, mask, w.t.segMask(axis, k))
-		key = appendMaskKey(key[:0], child)
-		if _, ok := seen[string(key)]; ok {
-			continue
+	for _, k := range starts[:len(starts)-1] {
+		andMasks(child[1:], mask, w.t.segMask(axis, int(k)))
+		id, group := w.tab.meet(child, serial, met)
+		if group != met {
+			continue // met through an earlier run
 		}
-		seen[string(key)] = struct{}{}
-		cc := make([]uint64, w.t.words)
-		copy(cc, child)
-		if err := w.recurse(c, axes, level+1, cc, append(spans, w.sp.segSpan(axis, k))); err != nil {
+		met++
+		w.spans[level] = w.sp.segSpan(axis, int(k))
+		if err := w.recurse(c, axes, level+1, w.tab.key(id)[1:]); err != nil {
 			return err
 		}
 		if w.res.Mismatch != nil {
