@@ -224,32 +224,26 @@ func actionChange(c RegionClass) bool {
 // expansion and, for an inner node, the memo slot of its subtree. A
 // leaf stores nothing: its verdicts are its masks' first bits.
 type diffWalker struct {
-	sp     *space
+	expander
 	a, b   *setTables
-	tab    *internTable
 	leaves *internTable
 	nodes  []diffNode // per inner node ID
 	budget uint64
 	work   uint64
-	serial uint32 // expansions so far
-	// keys holds one scratch key per level and groupBuf one group
-	// list per level, reused by every expansion at that level.
-	keys     []uint64
+	// groupBuf holds one group list per level, reused by every
+	// expansion at that level.
 	groupBuf [numAxes][]diffGroup
-	runs     *runScratch
 	spans    [numAxes]fw.Span
 }
 
 func newDiffWalker(sp *space, budget uint64) *diffWalker {
-	width := 1 + sp.sets[0].words + sp.sets[1].words
+	e := newExpander(sp)
 	return &diffWalker{
-		sp: sp, a: sp.sets[0], b: sp.sets[1],
-		tab:    newInternTable(width),
-		leaves: newInternTable(width),
+		expander: e,
+		a:        sp.sets[0], b: sp.sets[1],
+		leaves: newInternTable(e.tab.width),
 		nodes:  make([]diffNode, 0, 512),
 		budget: budget,
-		keys:   make([]uint64, (numAxes+1)*width),
-		runs:   newRunScratch(sp),
 	}
 }
 
@@ -285,8 +279,7 @@ func Diff(a, b *fw.RuleSet, opts DiffOptions) (*DiffResult, error) {
 	var byClass [NumRegionClasses]u128
 	for _, c := range classes {
 		axes := axesFor(c)
-		root := w.levelKey(0)
-		root[0] = nodeHeader(len(axes), 0)
+		root := w.nodeKey(len(axes), 0)
 		copy(root[1:], w.a.startMask(c))
 		copy(root[1+w.a.words:], w.b.startMask(c))
 		id, _ := w.tab.intern(root)
@@ -335,11 +328,6 @@ type diffGroup struct {
 	id     int32 // the child's node: a leaf below the last level
 	repSeg int32
 	width  uint64
-}
-
-// levelKey returns the scratch key buffer for a node at level.
-func (w *diffWalker) levelKey(level int) []uint64 {
-	return w.keys[level*w.tab.width : (level+1)*w.tab.width]
 }
 
 // recurse computes inner node id's subtree result once; later visits
@@ -442,12 +430,11 @@ func (w *diffWalker) groups(axes []int, level int, mA, mB []uint64) []diffGroup 
 	if level+1 == len(axes) {
 		tab = w.leaves
 	}
-	child := w.levelKey(level + 1)
-	child[0] = nodeHeader(len(axes), level+1)
+	child := w.nodeKey(len(axes), level+1)
 	cA, cB := child[1:1+w.a.words], child[1+w.a.words:]
-	w.a.markEdges(w.runs.marks, axis, mA)
-	w.b.markEdges(w.runs.marks, axis, mB)
-	starts := w.runs.collect(level, len(w.sp.bounds[axis]))
+	w.a.markEdges(w.marks, axis, mA)
+	w.b.markEdges(w.marks, axis, mB)
+	starts := w.runs(level, axis)
 	w.serial++
 	out := w.groupBuf[level][:0]
 	for r, k := range starts[:len(starts)-1] {

@@ -103,13 +103,8 @@ func classifyUnreachable(t *setTables, i int, winners []int) fw.Finding {
 // the distinct leaves fills every rule's winner set; there is no need
 // to walk the decomposition again per rule.
 type lintWalker struct {
-	sp  *space
-	t   *setTables
-	tab *internTable // visited nodes: header + live mask
-	// keys holds one scratch key per level: a child key is built in
-	// place and copied into tab only when it is new.
-	keys []uint64
-	runs *runScratch
+	expander // tab holds the visited nodes
+	t        *setTables
 	// reached is the set of rules that decide at least one region.
 	reached []uint64
 	// wins holds rule i's winners at [(i-1)*words : i*words].
@@ -118,22 +113,18 @@ type lintWalker struct {
 
 func newLintWalker(sp *space) *lintWalker {
 	t := sp.sets[0]
-	width := 1 + t.words
 	return &lintWalker{
-		sp: sp, t: t,
-		tab:     newInternTable(width),
-		keys:    make([]uint64, (numAxes+1)*width),
-		runs:    newRunScratch(sp),
-		reached: make([]uint64, t.words),
-		wins:    make([]uint64, t.n*t.words),
+		expander: newExpander(sp),
+		t:        t,
+		reached:  make([]uint64, t.words),
+		wins:     make([]uint64, t.n*t.words),
 	}
 }
 
 // walkClass visits every node below one class root not visited yet.
 func (w *lintWalker) walkClass(c class) {
 	axes := axesFor(c)
-	root := w.levelKey(0)
-	root[0] = nodeHeader(len(axes), 0)
+	root := w.nodeKey(len(axes), 0)
 	copy(root[1:], w.t.startMask(c))
 	if maskEmpty(root[1:]) {
 		return
@@ -141,11 +132,6 @@ func (w *lintWalker) walkClass(c class) {
 	if id, fresh := w.tab.intern(root); fresh {
 		w.visit(axes, 0, w.tab.key(id)[1:])
 	}
-}
-
-// levelKey returns the scratch key buffer for a node at level.
-func (w *lintWalker) levelKey(level int) []uint64 {
-	return w.keys[level*w.tab.width : (level+1)*w.tab.width]
 }
 
 // visit expands one newly visited node: a leaf is recorded, an inner
@@ -159,10 +145,9 @@ func (w *lintWalker) visit(axes []int, level int, mask []uint64) {
 		return
 	}
 	axis := axes[level]
-	child := w.levelKey(level + 1)
-	child[0] = nodeHeader(len(axes), level+1)
-	w.t.markEdges(w.runs.marks, axis, mask)
-	starts := w.runs.collect(level, len(w.sp.bounds[axis]))
+	child := w.nodeKey(len(axes), level+1)
+	w.t.markEdges(w.marks, axis, mask)
+	starts := w.runs(level, axis)
 	for _, k := range starts[:len(starts)-1] {
 		andMasks(child[1:], mask, w.t.segMask(axis, int(k)))
 		if maskEmpty(child[1:]) {

@@ -251,36 +251,60 @@ func (t *setTables) markEdges(marks []uint64, axis int, m []uint64) {
 	}
 }
 
-// runScratch expands a node's axis into runs: maximal stretches of
-// consecutive segments over which no live rule starts or stops
-// covering, so every segment of a run yields the same child. A node
-// has one child per run, not one per segment, and the runs come in
-// segment order, so the first run yielding a child starts at the
-// first segment that does.
-type runScratch struct {
-	marks  []uint64         // segment bitset, all zero between uses
+// expander is the per-call state every walk expands nodes with. It
+// splits a node's axis into runs: maximal stretches of consecutive
+// segments over which no live rule starts or stops covering, so every
+// segment of a run yields the same child. A node has one child per
+// run, not one per segment, and the runs come in segment order, so
+// the first run yielding a child starts at the first segment that
+// does. Child keys are built in per-level scratch and interned in tab.
+type expander struct {
+	sp     *space
+	tab    *internTable
+	serial uint32           // expansions so far
+	keys   []uint64         // one scratch key per level
+	marks  []uint64         // segment bitset, all zero between expansions
 	starts [numAxes][]int32 // per level: run starts, then the segment count
 }
 
-func newRunScratch(sp *space) *runScratch {
-	segs := 0
+// newExpander sizes keys for the live masks of every set in sp.
+func newExpander(sp *space) expander {
+	width, segs := 1, 0
+	for _, t := range sp.sets {
+		width += t.words
+	}
 	for _, b := range sp.bounds {
 		segs = max(segs, len(b))
 	}
-	return &runScratch{marks: make([]uint64, segs/64+1)}
+	return expander{
+		sp:    sp,
+		tab:   newInternTable(width),
+		keys:  make([]uint64, (numAxes+1)*width),
+		marks: make([]uint64, segs/64+1),
+	}
 }
 
-// collect returns the runs of an axis of segs segments marked by
-// markEdges for the node at level: the ascending run starts, then
-// segs. It clears the marks for the next expansion.
+// nodeKey returns the scratch key for a node at level of a walk over
+// axesLen axes, with its header word set; the caller fills in the
+// live masks after it.
+func (e *expander) nodeKey(axesLen, level int) []uint64 {
+	key := e.keys[level*e.tab.width : (level+1)*e.tab.width]
+	key[0] = nodeHeader(axesLen, level)
+	return key
+}
+
+// runs returns the runs of an axis marked by markEdges for the node
+// at level: the ascending run starts, then the segment count. It
+// clears the marks for the next expansion.
 //
 //barbican:noalloc
-func (sc *runScratch) collect(level, segs int) []int32 {
-	starts := sc.starts[level][:0]
-	sc.marks[0] |= 1
+func (e *expander) runs(level, axis int) []int32 {
+	segs := len(e.sp.bounds[axis])
+	starts := e.starts[level][:0]
+	e.marks[0] |= 1
 	for w := 0; w <= segs/64; w++ {
-		x := sc.marks[w]
-		sc.marks[w] = 0
+		x := e.marks[w]
+		e.marks[w] = 0
 		for ; x != 0; x &= x - 1 {
 			if k := w*64 + bits.TrailingZeros64(x); k < segs {
 				starts = append(starts, int32(k))
@@ -288,7 +312,7 @@ func (sc *runScratch) collect(level, segs int) []int32 {
 		}
 	}
 	starts = append(starts, int32(segs))
-	sc.starts[level] = starts
+	e.starts[level] = starts
 	return starts
 }
 

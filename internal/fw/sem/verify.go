@@ -82,19 +82,15 @@ func VerifyCompiled(rs *fw.RuleSet, opts VerifyOptions) (*VerifyResult, error) {
 	compiled := fw.Compile(compiledSet)
 
 	sp := newSpace(rs)
-	t := sp.sets[0]
-	width := 1 + t.words
 	w := &verifyWalker{
-		sp: sp, t: t,
-		walk: walk, compiled: compiled,
+		expander: newExpander(sp),
+		t:        sp.sets[0],
+		walk:     walk, compiled: compiled,
 		budget: opts.MaxRegions,
 		res:    &VerifyResult{Rules: rs.Len()},
-		tab:    newInternTable(width),
-		keys:   make([]uint64, (numAxes+1)*width),
-		runs:   newRunScratch(sp),
 	}
 	for _, c := range classes {
-		if err := w.recurse(c, axesFor(c), 0, t.startMask(c)); err != nil {
+		if err := w.recurse(c, axesFor(c), 0, w.t.startMask(c)); err != nil {
 			return nil, err
 		}
 		if w.res.Mismatch != nil {
@@ -119,21 +115,13 @@ func VerifyCompiled(rs *fw.RuleSet, opts VerifyOptions) (*VerifyResult, error) {
 }
 
 type verifyWalker struct {
-	sp       *space
+	expander // tab tells a child an expansion already met from a new one
 	t        *setTables
 	walk     *fw.RuleSet
 	compiled *fw.CompiledSet
 	budget   uint64
 	res      *VerifyResult
-
-	// tab interns child keys (header + live mask) so an expansion can
-	// tell a child it already met from a new one.
-	tab    *internTable
-	serial uint32 // expansions so far
-	// keys holds one scratch key per level; spans is the region
-	// chosen so far, one segment per walked axis.
-	keys  []uint64
-	runs  *runScratch
+	// spans is the region chosen so far, one segment per walked axis.
 	spans [numAxes]fw.Span
 }
 
@@ -144,11 +132,9 @@ func (w *verifyWalker) recurse(c class, axes []int, level int, mask []uint64) er
 		return w.check(c, mask, w.spans[:len(axes)])
 	}
 	axis := axes[level]
-	width := w.tab.width
-	child := w.keys[(level+1)*width : (level+2)*width]
-	child[0] = nodeHeader(len(axes), level+1)
-	w.t.markEdges(w.runs.marks, axis, mask)
-	starts := w.runs.collect(level, len(w.sp.bounds[axis]))
+	child := w.nodeKey(len(axes), level+1)
+	w.t.markEdges(w.marks, axis, mask)
+	starts := w.runs(level, axis)
 	w.serial++
 	serial := w.serial
 	var met int32 // distinct children so far
