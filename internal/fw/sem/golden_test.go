@@ -1,7 +1,6 @@
 package sem
 
 import (
-	"flag"
 	"fmt"
 	"math/rand"
 	"os"
@@ -11,8 +10,6 @@ import (
 
 	"barbican/internal/fw"
 )
-
-var updateGolden = flag.Bool("update", false, "rewrite testdata/sem_golden.txt from the current engine")
 
 // goldenSizes cover one-word (24, 64 rules) and three-word (130 rules)
 // live masks.
@@ -88,14 +85,6 @@ func renderSemOutputs(t *testing.T) string {
 func TestSemOutputsGolden(t *testing.T) {
 	got := renderSemOutputs(t)
 	path := filepath.Join("testdata", "sem_golden.txt")
-	if *updateGolden {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
 	want, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)

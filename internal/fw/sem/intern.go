@@ -119,8 +119,10 @@ func (t *internTable) grow() {
 
 // reserve returns s with room for n more elements, at least doubling
 // its capacity when it must grow. A walk's per-call slices reach
-// thousands of entries, where plain append grows by a quarter at a
-// time and so copies each entry about four times.
+// thousands of entries, past the size where plain append starts
+// growing by a quarter at a time: with plain append for the arena,
+// met and nodes, BenchmarkSemCorpus allocates 13.7 MB/op instead of
+// 10.8 MB/op (4,128 instead of 4,002 allocations), at the same speed.
 func reserve[E any](s []E, n int) []E {
 	if cap(s)-len(s) >= n {
 		return s
