@@ -1,6 +1,7 @@
 package nic
 
 import (
+	"math/rand"
 	"testing"
 	"time"
 
@@ -251,5 +252,157 @@ func TestNextGenEgressParityWithEFW(t *testing.T) {
 		if per1[i] != per2[i] {
 			t.Errorf("rule %d hits: EFW %d, NextGen %d", i+1, per1[i], per2[i])
 		}
+	}
+}
+
+// requireCompiledActive fails unless the card's compiled classifier is
+// for its active rule set (nil exactly when the card has no policy).
+func requireCompiledActive(t *testing.T, n *NIC, step string) {
+	t.Helper()
+	rs := n.RuleSet()
+	switch {
+	case rs == nil && n.compiled != nil:
+		t.Fatalf("%s: no policy but a compiled set for %p", step, n.compiled.RuleSet())
+	case rs != nil && n.compiled == nil:
+		t.Fatalf("%s: policy installed but no compiled set", step)
+	case rs != nil && n.compiled.RuleSet() != rs:
+		t.Fatalf("%s: compiled set is for %p, active rule set is %p", step, n.compiled.RuleSet(), rs)
+	}
+}
+
+// TestCompiledFollowsActiveRulesOnEFW: a linear-priced card classifies
+// through the compiled set too, so every path that swaps the active
+// rule set — install, commit, a commit while degraded, the watchdog
+// restore and an agent restart — must leave the compiled set in step.
+func TestCompiledFollowsActiveRulesOnEFW(t *testing.T) {
+	k := sim.NewKernel()
+	a, _ := pair(t, k, EFW(), Standard())
+	a.SetFailMode(FailModeClosed)
+	requireCompiledActive(t, a, "new card")
+
+	a.InstallRuleSet(depth64Allow(t))
+	requireCompiledActive(t, a, "InstallRuleSet")
+
+	a.BeginPolicyUpdate()
+	a.CommitPolicyUpdate(fw.MustRuleSet(fw.Deny, fw.DenyAllRule()))
+	requireCompiledActive(t, a, "CommitPolicyUpdate")
+
+	// Degrade with an interrupted push, then swap policy while degraded:
+	// the commit is itself the recovery.
+	a.BeginPolicyUpdate()
+	a.AbortPolicyUpdate()
+	if got := a.DegradedState(); got != StateDegraded {
+		t.Fatalf("state = %v, want degraded", got)
+	}
+	requireCompiledActive(t, a, "degraded entry")
+	swapped := depth64Allow(t)
+	a.CommitPolicyUpdate(swapped)
+	requireCompiledActive(t, a, "commit while degraded")
+
+	a.BeginPolicyUpdate()
+	a.AbortPolicyUpdate()
+	compiledBefore := a.compiled
+	if err := k.RunUntil(time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if got := a.DegradedState(); got != StateHealthy {
+		t.Fatalf("state after watchdog = %v, want healthy", got)
+	}
+	requireCompiledActive(t, a, "watchdog restore")
+	if a.compiled != compiledBefore {
+		t.Error("watchdog restore of the same committed set recompiled it")
+	}
+
+	a.BeginPolicyUpdate()
+	a.AbortPolicyUpdate()
+	a.RestartAgent()
+	requireCompiledActive(t, a, "RestartAgent")
+	if a.RuleSet() != swapped {
+		t.Fatalf("RestartAgent left %p active, want the committed %p", a.RuleSet(), swapped)
+	}
+
+	a.InstallRuleSet(nil)
+	requireCompiledActive(t, a, "InstallRuleSet(nil)")
+}
+
+// TestCompiledHitCountsMatchLinearWalkOnEFW: after a seeded mix of
+// egress and ingress traffic through an EFW card, the per-rule hit
+// counts, eval total and default hits of its rule set equal those of
+// a linear walk over the same packet summaries.
+func TestCompiledHitCountsMatchLinearWalkOnEFW(t *testing.T) {
+	rules := []fw.Rule{
+		{Action: fw.Allow, Direction: fw.Out, Proto: packet.ProtoUDP, DstPorts: fw.PortRange{Lo: 2000, Hi: 2099}},
+		{Action: fw.Deny, Direction: fw.In, Proto: packet.ProtoTCP, DstPorts: fw.Port(22)},
+		{Action: fw.Allow, Direction: fw.Both, Proto: packet.ProtoTCP, Src: packet.Prefix{Addr: ipA, Bits: 32}},
+		{Action: fw.Allow, Direction: fw.In, Proto: packet.ProtoICMP},
+		{Action: fw.Deny, Direction: fw.Both, Proto: packet.ProtoUDP, SrcPorts: fw.PortRange{Lo: 5000, Hi: 6000}},
+		{Action: fw.Allow, Direction: fw.Both, Dst: packet.Prefix{Addr: packet.IP{10, 0, 0, 0}, Bits: 30}},
+	}
+	for i := 1; i <= 58; i++ {
+		rules = append(rules, fw.NonMatchingRule(i))
+	}
+	card := fw.MustRuleSet(fw.Deny, rules...)
+	ref := fw.MustRuleSet(fw.Deny, rules...)
+
+	k := sim.NewKernel()
+	a, _ := pair(t, k, EFW(), Standard())
+	a.InstallRuleSet(card)
+	a.SetDeliver(func(*packet.Frame) {})
+
+	rng := rand.New(rand.NewSource(1))
+	addrs := []packet.IP{ipA, ipB, packet.MustIP("10.0.0.3"), packet.MustIP("192.168.1.9")}
+	ports := []uint16{22, 80, 2000, 2050, 2100, 5000, 5500, 6001}
+	datagram := func() *packet.Datagram {
+		src, dst := addrs[rng.Intn(len(addrs))], addrs[rng.Intn(len(addrs))]
+		sp, dp := ports[rng.Intn(len(ports))], ports[rng.Intn(len(ports))]
+		switch rng.Intn(3) {
+		case 0:
+			return udpDatagram(src, dst, sp, dp, rng.Intn(200))
+		case 1:
+			return tcpSyn(src, dst, sp, dp)
+		default:
+			m := &packet.ICMPMessage{Type: packet.ICMPEchoRequest, ID: uint16(rng.Intn(100))}
+			return packet.NewDatagram(src, dst, packet.ProtoICMP, 1, m.Marshal())
+		}
+	}
+	const packets = 400
+	for i := 0; i < packets; i++ {
+		d := datagram()
+		s, err := packet.SummarizeDatagram(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rng.Intn(2) == 0 {
+			a.Send(d, macB)
+			ref.EvalState(s, fw.Out, fw.StateNone)
+		} else {
+			a.handleFrame(&packet.Frame{Dst: macA, Src: macB, Type: packet.EtherTypeIPv4, Payload: d.Marshal()})
+			ref.EvalState(s, fw.In, fw.StateNone)
+		}
+		// Space packets out so the denied rate stays under the EFW's
+		// lockup threshold: a wedged card would stop classifying.
+		if err := k.RunUntil(time.Duration(i+1) * 10 * time.Millisecond); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if a.Locked() {
+		t.Fatal("card wedged during the traffic mix")
+	}
+	gotEvals, gotPer, gotDef := card.Stats()
+	wantEvals, wantPer, wantDef := ref.Stats()
+	if gotEvals != packets || gotEvals != wantEvals || gotDef != wantDef {
+		t.Errorf("evals %d default hits %d, linear walk %d / %d (sent %d)", gotEvals, gotDef, wantEvals, wantDef, packets)
+	}
+	hit := 0
+	for i := range wantPer {
+		if gotPer[i] != wantPer[i] {
+			t.Errorf("rule %d hits: card %d, linear walk %d", i+1, gotPer[i], wantPer[i])
+		}
+		if wantPer[i] > 0 {
+			hit++
+		}
+	}
+	if hit < 5 {
+		t.Errorf("traffic mix hit only %d distinct rules; it should exercise most action rules", hit)
 	}
 }

@@ -74,11 +74,13 @@ type NIC struct {
 	sealers map[string]*vpg.Sealer
 	replay  map[replayKey]*vpg.ReplayWindow
 
-	// Fast-path machinery for CompiledMatch/FlowCacheSize profiles:
-	// compiled is the depth-independent matcher for the current rules
-	// (nil on linear profiles or without policy), fcache the per-flow
-	// verdict cache (nil when the profile has none). Both are kept in
-	// sync with rules by setRules — never assign n.rules directly.
+	// compiled is the classifier every card evaluates the current rules
+	// through (nil without policy). It returns the linear walk's verdict
+	// and counter updates (DESIGN.md §13.1), so a linear profile still
+	// pays PerRuleCost × Traversed in virtual time; CompiledMatch only
+	// selects that price. fcache is the per-flow verdict cache (nil when
+	// the profile has none). Both are kept in sync with rules by
+	// setRules — never assign n.rules directly.
 	compiled *fw.CompiledSet
 	fcache   *flowCache
 
@@ -300,12 +302,10 @@ func (n *NIC) setRules(rs *fw.RuleSet) {
 	switch {
 	case rs == nil:
 		n.compiled = nil
-	case n.profile.CompiledMatch:
+	case n.compiled == nil || n.compiled.RuleSet() != rs:
 		// Recompile only on an actual rule-set change; the watchdog
 		// restoring the already-compiled committed policy reuses it.
-		if n.compiled == nil || n.compiled.RuleSet() != rs {
-			n.compiled = fw.Compile(rs)
-		}
+		n.compiled = fw.Compile(rs)
 	}
 	n.invalidateFlowCache()
 }
@@ -391,11 +391,12 @@ func (n *NIC) commitConn(s packet.Summary, cs fw.ConnState) (cost float64, fullD
 
 // evalPolicy produces the verdict for a policy-subject packet whose
 // conntrack classification is cs (StateNone on the stateless path): the
-// flow cache first, then the compiled matcher when the profile has one,
-// otherwise the linear reference walk. A cache hit replays the
-// remembered verdict and applies the same counter updates the walk
-// would (fw.RuleSet.Record), so per-rule hit metrics and attribution
-// stay exact. Callers guarantee n.rules != nil.
+// flow cache first, then the compiled classifier. Both give the verdict
+// the linear first-match walk would, with the same counter updates (a
+// cache hit replays them through fw.RuleSet.Record), so per-rule hit
+// metrics, attribution and the walk's Traversed — which a linear
+// profile prices per rule — stay exact. Callers guarantee
+// n.rules != nil.
 //
 //barbican:noalloc
 func (n *NIC) evalPolicy(s packet.Summary, dir fw.Direction, cs fw.ConnState) (fw.Verdict, MatchPath) {
@@ -405,12 +406,7 @@ func (n *NIC) evalPolicy(s packet.Summary, dir fw.Direction, cs fw.ConnState) (f
 			return v, MatchCacheHit
 		}
 	}
-	var v fw.Verdict
-	if n.compiled != nil {
-		v = n.compiled.EvalState(s, dir, cs)
-	} else {
-		v = n.rules.EvalState(s, dir, cs)
-	}
+	v := n.compiled.EvalState(s, dir, cs)
 	if n.fcache != nil {
 		n.fcache.insert(s, dir, cs, v)
 	}

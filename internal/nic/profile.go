@@ -79,7 +79,9 @@ type Profile struct {
 	// CompiledMatch, when true, models a card that compiles its
 	// installed rule set into a depth-independent classifier
 	// (fw.Compile): every rule match costs the flat CompiledLookupCost
-	// instead of PerRuleCost × rules traversed.
+	// instead of PerRuleCost × rules traversed. It selects the price
+	// only: every card classifies through the compiled set, whose
+	// verdict carries the linear walk's Traversed.
 	CompiledMatch bool
 	// CompiledLookupCost is the flat per-packet cost of one compiled-
 	// classifier lookup. Used only when CompiledMatch is set.

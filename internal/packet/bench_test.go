@@ -1,12 +1,34 @@
 package packet
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 func BenchmarkChecksum1500(b *testing.B) {
 	data := make([]byte, 1500)
 	b.SetBytes(1500)
 	for i := 0; i < b.N; i++ {
 		Checksum(data)
+	}
+}
+
+// BenchmarkChecksum covers the sizes the simulator sums most: the
+// 20-byte IPv4 header on every frame, a minimum-size flood datagram,
+// and an odd-length near-MTU segment that exercises the tail.
+func BenchmarkChecksum(b *testing.B) {
+	for _, n := range []int{20, 64, 1499} {
+		data := make([]byte, n)
+		for i := range data {
+			data[i] = byte(i * 7)
+		}
+		b.Run(fmt.Sprint(n), func(b *testing.B) {
+			b.SetBytes(int64(n))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				Checksum(data)
+			}
+		})
 	}
 }
 

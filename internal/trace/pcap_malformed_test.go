@@ -14,7 +14,7 @@ import (
 // validPCAP builds a well-formed single-record pcap in memory so the
 // malformed-input tests can corrupt known-good bytes instead of
 // hand-assembling files.
-func validPCAP(t *testing.T) []byte {
+func validPCAP(t testing.TB) []byte {
 	t.Helper()
 	hdr := make([]byte, 24)
 	binary.LittleEndian.PutUint32(hdr[0:4], 0xa1b2c3d4)
