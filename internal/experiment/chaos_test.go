@@ -1,69 +1,12 @@
 package experiment
 
 import (
-	"bytes"
 	"strings"
 	"testing"
 	"time"
 
 	"barbican/internal/faults"
 )
-
-// renderChaosArtifacts runs the chaos family and renders every artifact
-// form (text, markdown, CSV) — the byte stream the determinism golden
-// compares across worker counts.
-func renderChaosArtifacts(t *testing.T, cfg Config) []byte {
-	t.Helper()
-	var out bytes.Buffer
-	fig, err := ChaosBandwidth(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tab, err := ChaosConvergence(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out.WriteString(fig.Render())
-	out.WriteString(fig.Markdown())
-	if err := fig.WriteCSV(&out); err != nil {
-		t.Fatal(err)
-	}
-	out.WriteString(tab.Render())
-	out.WriteString(tab.Markdown())
-	if err := tab.WriteCSV(&out); err != nil {
-		t.Fatal(err)
-	}
-	return out.Bytes()
-}
-
-// TestChaosDeterminism: a fixed fault-plan seed yields byte-identical
-// chaos experiment output serially and at -parallel 8. Fault injectors
-// draw from private seeded generators and every point owns a private
-// kernel, so worker count must not leak into any rendered byte.
-func TestChaosDeterminism(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full chaos regeneration; skipped in -short")
-	}
-	base := Config{Quick: true, Seed: 7, FaultSeed: 42}
-
-	serialCfg := base
-	serialCfg.Parallel = 1
-	serial := renderChaosArtifacts(t, serialCfg)
-
-	parallelCfg := base
-	parallelCfg.Parallel = 8
-	parallel := renderChaosArtifacts(t, parallelCfg)
-
-	if !bytes.Equal(serial, parallel) {
-		i := 0
-		for i < len(serial) && i < len(parallel) && serial[i] == parallel[i] {
-			i++
-		}
-		lo, hiS, hiP := max(0, i-80), min(len(serial), i+80), min(len(parallel), i+80)
-		t.Fatalf("serial and parallel chaos artifacts diverge at byte %d:\nserial:   …%q…\nparallel: …%q…",
-			i, serial[lo:hiS], parallel[lo:hiP])
-	}
-}
 
 // TestChaosConvergenceTable checks the family's headline result: the
 // retrying push converges through loss and partition, and the legacy
@@ -72,10 +15,11 @@ func TestChaosConvergenceTable(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full chaos regeneration; skipped in -short")
 	}
-	tab, err := ChaosConvergence(Config{Quick: true})
+	tab, err := ChaosConvergence(quickS7)
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, "chaos-convergence", tab)
 	byLabel := make(map[string][]string)
 	for _, row := range tab.Rows {
 		byLabel[row[1]] = append([]string(nil), row...)

@@ -1,74 +1,9 @@
 package experiment
 
 import (
-	"bytes"
 	"strconv"
 	"testing"
 )
-
-// renderDetectArtifacts runs the detection family and renders every
-// artifact form — the byte stream the determinism golden compares
-// across worker counts. FleetHealth is included because its rendered
-// timeline exposes every transition timestamp, the most
-// divergence-sensitive output the plane produces.
-func renderDetectArtifacts(t *testing.T, cfg Config) []byte {
-	t.Helper()
-	var out bytes.Buffer
-	fig, err := DetectionLatency(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tab, err := DetectionChaos(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	health, err := FleetHealth(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out.WriteString(fig.Render())
-	out.WriteString(fig.Markdown())
-	if err := fig.WriteCSV(&out); err != nil {
-		t.Fatal(err)
-	}
-	out.WriteString(tab.Render())
-	out.WriteString(tab.Markdown())
-	if err := tab.WriteCSV(&out); err != nil {
-		t.Fatal(err)
-	}
-	out.WriteString(health)
-	return out.Bytes()
-}
-
-// TestDetectionDeterminism: detection artifacts — time-to-detect,
-// exposure windows, alert timelines — are byte-identical serially and
-// at -parallel 8 for a fixed seed pair. Alert timestamps come from
-// per-point private kernels in virtual time, so worker count must not
-// leak into any rendered byte.
-func TestDetectionDeterminism(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full detection regeneration; skipped in -short")
-	}
-	base := Config{Quick: true, Seed: 7, FaultSeed: 42}
-
-	serialCfg := base
-	serialCfg.Parallel = 1
-	serial := renderDetectArtifacts(t, serialCfg)
-
-	parallelCfg := base
-	parallelCfg.Parallel = 8
-	parallel := renderDetectArtifacts(t, parallelCfg)
-
-	if !bytes.Equal(serial, parallel) {
-		i := 0
-		for i < len(serial) && i < len(parallel) && serial[i] == parallel[i] {
-			i++
-		}
-		lo, hiS, hiP := max(0, i-80), min(len(serial), i+80), min(len(parallel), i+80)
-		t.Fatalf("serial and parallel detection artifacts diverge at byte %d:\nserial:   …%q…\nparallel: …%q…",
-			i, serial[lo:hiS], parallel[lo:hiP])
-	}
-}
 
 // TestDetectionChaosTable checks the family's headline result at the
 // experiment level: management-plane loss measurably widens both
@@ -77,10 +12,11 @@ func TestDetectionChaosTable(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full detection regeneration; skipped in -short")
 	}
-	tab, err := DetectionChaos(Config{Quick: true, Seed: 7, FaultSeed: 42})
+	tab, err := DetectionChaos(quickS7)
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, "detect-chaos", tab)
 	byLabel := make(map[string][]string)
 	for _, row := range tab.Rows {
 		byLabel[row[0]] = row

@@ -5,13 +5,12 @@ import (
 	"testing"
 )
 
-var quick = Config{Quick: true}
-
 func TestFig2QuickShape(t *testing.T) {
 	fig, err := Fig2(quick)
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, "fig2", fig)
 	if len(fig.Series) != 4 {
 		t.Fatalf("series = %d, want 4", len(fig.Series))
 	}
@@ -49,6 +48,7 @@ func TestFig3aQuickShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, "fig3a", fig)
 	byLabel := map[string][]Point{}
 	for _, s := range fig.Series {
 		byLabel[s.Label] = s.Points
@@ -71,6 +71,7 @@ func TestFig3bQuickShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, "fig3b", fig)
 	byLabel := map[string][]Point{}
 	for _, s := range fig.Series {
 		byLabel[s.Label] = s.Points
@@ -93,6 +94,7 @@ func TestTable1QuickShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, "table1", tab)
 	if len(tab.Columns) != 5 { // Experiment, Standard, ADF 1, ADF 64, VPG 1
 		t.Fatalf("columns = %v", tab.Columns)
 	}
@@ -112,6 +114,7 @@ func TestAblationsQuick(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, "abl1", abl1)
 	if len(abl1.Rows) != 2 {
 		t.Errorf("ABL1 rows = %d", len(abl1.Rows))
 	}
@@ -119,6 +122,7 @@ func TestAblationsQuick(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, "abl2", abl2)
 	if len(abl2.Rows) != 2 {
 		t.Errorf("ABL2 rows = %d", len(abl2.Rows))
 	}
@@ -126,6 +130,7 @@ func TestAblationsQuick(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, "abl3", abl3)
 	if len(abl3.Rows) != 2 {
 		t.Errorf("ABL3 rows = %d", len(abl3.Rows))
 	}
@@ -169,25 +174,12 @@ func TestMarkdownRenderers(t *testing.T) {
 	}
 }
 
-func TestExperimentsDeterministic(t *testing.T) {
-	a, err := Fig2(quick)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Fig2(quick)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Render() != b.Render() {
-		t.Error("Fig2 not deterministic across runs")
-	}
-}
-
 func TestExtensionTablesQuick(t *testing.T) {
 	ext2, err := ExtensionHTTPUnderFlood(quick)
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, "ext2", ext2)
 	if len(ext2.Rows) != 2 {
 		t.Errorf("EXT2 rows = %d", len(ext2.Rows))
 	}
@@ -195,6 +187,7 @@ func TestExtensionTablesQuick(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, "ext1", ext1)
 	if len(ext1.Rows) != 3 {
 		t.Errorf("EXT1 rows = %d", len(ext1.Rows))
 	}

@@ -3,7 +3,6 @@ package experiment
 import (
 	"strings"
 	"testing"
-	"time"
 )
 
 // TestNextGenFiguresQuick is the headline claim in test form: under the
@@ -15,12 +14,11 @@ func TestNextGenFiguresQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full quick sweeps; skipped in -short")
 	}
-	cfg := Config{Quick: true, Duration: 300 * time.Millisecond}
-
-	fig2, err := Fig2NextGen(cfg)
+	fig2, err := Fig2NextGen(quickNG)
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, "fig2ng", fig2)
 	series := func(fig *Figure, label string) *Series {
 		for i := range fig.Series {
 			if strings.HasPrefix(fig.Series[i].Label, label) {
@@ -54,10 +52,11 @@ func TestNextGenFiguresQuick(t *testing.T) {
 		t.Errorf("EFW bandwidth at depth 512 = %.1f Mbps vs %.1f at depth 1; want the linear cliff", last, first)
 	}
 
-	fig3, err := Fig3NextGen(cfg)
+	fig3, err := Fig3NextGen(quickNG)
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, "fig3ng", fig3)
 	for _, p := range series(fig3, "NextGenFW").Points {
 		if p.Note != "no DoS found" {
 			t.Errorf("NextGen at depth %.0f: DoS at %.0f pps; want none within search bounds", p.X, p.Y)

@@ -1,89 +1,12 @@
 package experiment
 
 import (
-	"bytes"
 	"testing"
 	"time"
 
 	"barbican/internal/core"
 	"barbican/internal/runner"
 )
-
-// renderEverything runs the paper's headline artifacts plus the NextGen
-// depth/flood sweeps and renders markdown plus CSV for each — the byte
-// stream the equivalence golden compares across worker counts.
-func renderEverything(t *testing.T, cfg Config) []byte {
-	t.Helper()
-	var out bytes.Buffer
-
-	fig2, err := Fig2(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fig3a, err := Fig3a(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fig3b, err := Fig3b(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fig2ng, err := Fig2NextGen(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fig3ng, err := Fig3NextGen(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tab1, err := Table1(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	for _, fig := range []*Figure{fig2, fig3a, fig3b, fig2ng, fig3ng} {
-		out.WriteString(fig.Markdown())
-		if err := fig.WriteCSV(&out); err != nil {
-			t.Fatal(err)
-		}
-	}
-	out.WriteString(tab1.Markdown())
-	if err := tab1.WriteCSV(&out); err != nil {
-		t.Fatal(err)
-	}
-	return out.Bytes()
-}
-
-// TestParallelEquivalence is the executor's core contract: -parallel 1
-// and -parallel 8 must produce byte-identical fig2/fig3a/fig3b/table1
-// markdown and CSV artifacts. Every point owns a private kernel seeded
-// from the scenario, warm-start chains live inside single tasks, and
-// results reassemble in declaration order — so the only acceptable
-// difference between worker counts is wall-clock time.
-func TestParallelEquivalence(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full artifact regeneration; skipped in -short")
-	}
-	base := Config{Quick: true, Duration: 300 * time.Millisecond}
-
-	serialCfg := base
-	serialCfg.Parallel = 1
-	serial := renderEverything(t, serialCfg)
-
-	parallelCfg := base
-	parallelCfg.Parallel = 8
-	parallel := renderEverything(t, parallelCfg)
-
-	if !bytes.Equal(serial, parallel) {
-		i := 0
-		for i < len(serial) && i < len(parallel) && serial[i] == parallel[i] {
-			i++
-		}
-		lo, hiS, hiP := max(0, i-80), min(len(serial), i+80), min(len(parallel), i+80)
-		t.Fatalf("serial and parallel artifacts diverge at byte %d:\nserial:   …%q…\nparallel: …%q…",
-			i, serial[lo:hiS], parallel[lo:hiP])
-	}
-}
 
 // TestConcurrentPointsRace drives two experiment points through the
 // executor at Workers=2 so the race detector (CI runs this file under

@@ -67,10 +67,11 @@ func TestRFC2544DepthLowersCeiling(t *testing.T) {
 }
 
 func TestAppendixRFC2544Table(t *testing.T) {
-	tab, err := AppendixRFC2544(Config{Quick: true})
+	tab, err := AppendixRFC2544(quick)
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, "rfc2544", tab)
 	out := tab.Render()
 	for _, want := range []string{"RFC 2544", "Frame size", "64", "1518", "line rate"} {
 		if !strings.Contains(out, want) {
@@ -80,10 +81,11 @@ func TestAppendixRFC2544Table(t *testing.T) {
 }
 
 func TestAppendixLatencyTable(t *testing.T) {
-	tab, err := AppendixLatency(Config{Quick: true})
+	tab, err := AppendixLatency(quick)
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, "latency", tab)
 	if len(tab.Rows) != 2 || len(tab.Columns) != 5 {
 		t.Fatalf("table shape = %dx%d", len(tab.Rows), len(tab.Columns))
 	}

@@ -1,71 +1,10 @@
 package experiment
 
 import (
-	"bytes"
 	"strconv"
 	"strings"
 	"testing"
 )
-
-// renderStatefloodArtifacts runs the whole stateflood family and
-// renders every artifact form (text, markdown, CSV) — the byte stream
-// the determinism golden compares across worker counts.
-func renderStatefloodArtifacts(t *testing.T, cfg Config) []byte {
-	t.Helper()
-	var out bytes.Buffer
-	fig, err := StatefloodCurves(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out.WriteString(fig.Render())
-	out.WriteString(fig.Markdown())
-	if err := fig.WriteCSV(&out); err != nil {
-		t.Fatal(err)
-	}
-	for _, fn := range []func(Config) (*Table, error){
-		StatefloodThresholds, StatefloodACK, StatefloodRecovery,
-	} {
-		tab, err := fn(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out.WriteString(tab.Render())
-		out.WriteString(tab.Markdown())
-		if err := tab.WriteCSV(&out); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return out.Bytes()
-}
-
-// TestStatefloodDeterminism: a fixed seed yields byte-identical
-// stateflood output serially and at -parallel 8. Conntrack eviction
-// draws from a kernel-seeded private generator and every point owns a
-// private kernel, so worker count must not leak into any rendered byte.
-func TestStatefloodDeterminism(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full stateflood regeneration; skipped in -short")
-	}
-	base := Config{Quick: true, Seed: 7}
-
-	serialCfg := base
-	serialCfg.Parallel = 1
-	serial := renderStatefloodArtifacts(t, serialCfg)
-
-	parallelCfg := base
-	parallelCfg.Parallel = 8
-	parallel := renderStatefloodArtifacts(t, parallelCfg)
-
-	if !bytes.Equal(serial, parallel) {
-		i := 0
-		for i < len(serial) && i < len(parallel) && serial[i] == parallel[i] {
-			i++
-		}
-		lo, hiS, hiP := max(0, i-80), min(len(serial), i+80), min(len(parallel), i+80)
-		t.Fatalf("serial and parallel stateflood artifacts diverge at byte %d:\nserial:   …%q…\nparallel: …%q…",
-			i, serial[lo:hiS], parallel[lo:hiP])
-	}
-}
 
 // TestStatefloodThresholdOrdering checks the family's headline result:
 // state-table exhaustion (SYN flood vs the LRU table) DoSes the session
@@ -75,10 +14,11 @@ func TestStatefloodThresholdOrdering(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full threshold search; skipped in -short")
 	}
-	tab, err := StatefloodThresholds(Config{Quick: true, Seed: 7})
+	tab, err := StatefloodThresholds(quickSF)
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, "stateflood-thresholds", tab)
 	rate := func(label string) float64 {
 		t.Helper()
 		for _, row := range tab.Rows {
@@ -113,10 +53,11 @@ func TestStatefloodRecoveryTable(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full recovery sweep; skipped in -short")
 	}
-	tab, err := StatefloodRecovery(Config{Quick: true, Seed: 7})
+	tab, err := StatefloodRecovery(quickSF)
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, "stateflood-recovery", tab)
 	byPolicy := make(map[string][]string)
 	for _, row := range tab.Rows {
 		byPolicy[row[0]] = append([]string(nil), row...)
