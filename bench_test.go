@@ -113,11 +113,11 @@ func BenchmarkAblationTrailingRules(b *testing.B) {
 func BenchmarkSimulatorThroughput(b *testing.B) {
 	var events uint64
 	for i := 0; i < b.N; i++ {
-		p, err := core.RunBandwidth(core.Scenario{
+		p, _, err := core.RunBandwidth(core.Scenario{
 			Device: core.DeviceEFW, Depth: 64,
 			FloodRatePPS: 8000, FloodAllowed: true,
 			Duration: time.Second,
-		})
+		}, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -130,10 +130,10 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 func BenchmarkMinFloodSearch(b *testing.B) {
 	var rate float64
 	for i := 0; i < b.N; i++ {
-		r, err := core.MinFloodRate(core.Scenario{
+		r, err := core.MinFloodRateFrom(core.Scenario{
 			Device: core.DeviceEFW, Depth: 64, FloodAllowed: true,
 			Duration: time.Second,
-		})
+		}, 0)
 		if err != nil {
 			b.Fatal(err)
 		}

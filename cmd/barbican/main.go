@@ -26,6 +26,10 @@
 //	                 kernel wall time) for every run as gzipped pprof
 //	                 and folded stacks, plus merged per-experiment
 //	                 cost profiles
+//
+// Only fig2, fig3a, fig2ng and timeline write traces and profiles;
+// -trace-out or -profile-out with any other experiment (or all, or
+// report) is an error that names it.
 //	-profile-sample N  kernel profiler samples 1 event in N (default 16;
 //	                 the cost domain is always exact)
 //	-faults PLAN     custom management-channel fault plan for the chaos
@@ -137,16 +141,18 @@ func run(args []string) error {
 	type runner struct {
 		name string
 		fn   func(experiment.Config) (string, error)
+		// traced families write -trace-out and -profile-out artifacts.
+		traced bool
 	}
 	runners := []runner{
-		{name: "fig2", fn: renderFigure("fig2", experiment.Fig2)},
-		{name: "fig3a", fn: renderFigure("fig3a", experiment.Fig3a)},
+		{name: "fig2", fn: renderFigure("fig2", experiment.Fig2), traced: true},
+		{name: "fig3a", fn: renderFigure("fig3a", experiment.Fig3a), traced: true},
 		{name: "fig3b", fn: renderFigure("fig3b", experiment.Fig3b)},
-		{name: "fig2ng", fn: renderFigure("fig2ng", experiment.Fig2NextGen)},
+		{name: "fig2ng", fn: renderFigure("fig2ng", experiment.Fig2NextGen), traced: true},
 		{name: "fig3ng", fn: renderFigure("fig3ng", experiment.Fig3NextGen)},
 		{name: "table1", fn: renderTable("table1", experiment.Table1)},
 		{name: "ablations", fn: renderAblations},
-		{name: "timeline", fn: renderFigure("timeline", experiment.FloodTimeline)},
+		{name: "timeline", fn: renderFigure("timeline", experiment.FloodTimeline), traced: true},
 		{name: "ext1", fn: renderTable("ext1", experiment.ExtensionNextGen)},
 		{name: "ext2", fn: renderTable("ext2", experiment.ExtensionHTTPUnderFlood)},
 		{name: "ext3", fn: renderTable("ext3", experiment.ExtensionFragmentEvasion)},
@@ -160,22 +166,30 @@ func run(args []string) error {
 	}
 
 	want := fs.Arg(0)
-	ran := false
-	start := time.Now()
+	var selected []runner
 	for _, r := range runners {
-		if want != r.name && (want != "all" || r.name == "report") {
-			continue
+		if want == r.name || (want == "all" && r.name != "report") {
+			selected = append(selected, r)
 		}
-		ran = true
+	}
+	if len(selected) == 0 {
+		fs.Usage()
+		return fmt.Errorf("unknown experiment %q", want)
+	}
+	if *traceOut != "" || *profileOut != "" {
+		for _, r := range selected {
+			if !r.traced {
+				return fmt.Errorf("%s writes no -trace-out or -profile-out artifacts; only fig2, fig3a, fig2ng and timeline do", r.name)
+			}
+		}
+	}
+	start := time.Now()
+	for _, r := range selected {
 		out, err := r.fn(cfg)
 		if err != nil {
 			return fmt.Errorf("%s: %w", r.name, err)
 		}
 		fmt.Println(out)
-	}
-	if !ran {
-		fs.Usage()
-		return fmt.Errorf("unknown experiment %q", want)
 	}
 	elapsed := time.Since(start)
 	fmt.Println(acct.Summary(elapsed, workers))

@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -65,5 +67,48 @@ func TestExplainSubcommandDispatch(t *testing.T) {
 	}
 	if err := run([]string{"explain", "-device", "warp-drive"}); err == nil || !strings.Contains(err.Error(), "unknown device") {
 		t.Errorf("err = %v", err)
+	}
+}
+
+// TestRunRejectsObserveFlagsItCannotHonor: a family that writes no
+// traces or profiles fails loudly instead of exiting 0 with nothing
+// written, and all names the first such family.
+func TestRunRejectsObserveFlagsItCannotHonor(t *testing.T) {
+	dir := t.TempDir()
+	for _, tc := range []struct{ flag, exp string }{
+		{"-trace-out", "fig3b"},
+		{"-profile-out", "stateflood"},
+		{"-profile-out", "report"},
+		{"-trace-out", "all"},
+	} {
+		err := run([]string{"-quick", tc.flag, dir, tc.exp})
+		want := tc.exp
+		if tc.exp == "all" {
+			want = "fig3b"
+		}
+		if err == nil || !strings.HasPrefix(err.Error(), want+" writes no") {
+			t.Errorf("%s %s: err = %v, want one naming %s", tc.flag, tc.exp, err, want)
+		}
+	}
+	if entries, _ := os.ReadDir(dir); len(entries) != 0 {
+		t.Errorf("rejected runs wrote %d entries", len(entries))
+	}
+}
+
+// TestTimelineWritesProfiles: -profile-out reaches the timeline runs.
+func TestTimelineWritesProfiles(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs simulations")
+	}
+	dir := t.TempDir()
+	if err := run([]string{"-quick", "-duration", "250ms", "-parallel", "1", "-profile-out", dir, "timeline"}); err != nil {
+		t.Fatal(err)
+	}
+	for _, dev := range []string{"standard_nic", "adf"} {
+		for _, ext := range []string{".cost.pprof", ".cost.folded", ".kernel.pprof", ".kernel.folded"} {
+			if _, err := os.Stat(filepath.Join(dir, "timeline", dev+ext)); err != nil {
+				t.Errorf("missing profile: %v", err)
+			}
+		}
 	}
 }

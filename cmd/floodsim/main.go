@@ -20,6 +20,11 @@
 // written in the same artifact formats as cmd/barbican: Prometheus
 // text, JSON, and CSV timelines plus a final scrape-style snapshot.
 //
+// With -pcap the client's wire (both directions of its access link) is
+// captured for the whole run and written as a pcap file. It combines
+// with the artifact flags: every single run goes through the same
+// core.RunBandwidth call, observed or not.
+//
 // With -profile-out the run is profiled in both domains — card cost
 // units attributed per NIC/phase/rule, and host wall time per kernel
 // event handler — and written as gzipped pprof plus folded stacks
@@ -48,6 +53,7 @@ import (
 	"barbican/internal/obs/profile"
 	"barbican/internal/obs/tracing"
 	"barbican/internal/runner"
+	"barbican/internal/trace"
 )
 
 func main() {
@@ -71,14 +77,16 @@ func parseDevice(s string) (core.Device, error) {
 		return core.DeviceIPTables, nil
 	case "nextgen":
 		return core.DeviceNextGen, nil
+	case "stateful":
+		return core.DeviceStateful, nil
 	default:
-		return 0, fmt.Errorf("unknown device %q (standard|efw|adf|vpg|iptables|nextgen)", s)
+		return 0, fmt.Errorf("unknown device %q (standard|efw|adf|vpg|iptables|nextgen|stateful)", s)
 	}
 }
 
 func run(args []string) error {
 	fs := flag.NewFlagSet("floodsim", flag.ContinueOnError)
-	deviceName := fs.String("device", "efw", "firewall under test: standard|efw|adf|vpg|iptables|nextgen")
+	deviceName := fs.String("device", "efw", "firewall under test: standard|efw|adf|vpg|iptables|nextgen|stateful")
 	depth := fs.Int("depth", 1, "rules (or VPGs) traversed before the action rule")
 	rate := fs.Float64("rate", 0, "flood rate in packets/s (0 = no flood)")
 	deny := fs.Bool("deny", false, "policy denies the flood packets instead of allowing them")
@@ -91,7 +99,7 @@ func run(args []string) error {
 	depthList := fs.String("depths", "", "comma-separated depth sweep (overrides -depth; enables sweep mode)")
 	rateList := fs.String("rates", "", "comma-separated flood-rate sweep (overrides -rate; enables sweep mode)")
 	parallel := fs.Int("parallel", 0, "sweep points measured concurrently (0 = GOMAXPROCS, 1 = serial)")
-	pcapPath := fs.String("pcap", "", "write the target's wire traffic to this pcap file (single runs only)")
+	pcapPath := fs.String("pcap", "", "write the client's wire traffic (both directions of its access link) to this pcap file (single runs only)")
 	metricsOut := fs.String("metrics-out", "", "write telemetry artifacts (prom/json/csv) under this directory (single runs only)")
 	sampleEvery := fs.Duration("sample-every", 0, "flight-recorder tick in virtual time (0 = 50ms default)")
 	traceOut := fs.String("trace-out", "", "write packet-lifecycle traces (Perfetto JSON + text) under this directory (single runs only)")
@@ -139,7 +147,7 @@ func run(args []string) error {
 	}
 
 	if *search {
-		r, err := core.MinFloodRate(s)
+		r, err := core.MinFloodRateFrom(s, 0)
 		if err != nil {
 			return err
 		}
@@ -147,60 +155,34 @@ func run(args []string) error {
 		return nil
 	}
 
-	var p core.BandwidthPoint
-	switch {
-	case (*metricsOut != "" || *traceOut != "" || *profileOut != "") && *pcapPath != "":
-		return fmt.Errorf("-metrics-out/-trace-out/-profile-out and -pcap cannot be combined; run twice")
-	case *metricsOut != "" || *traceOut != "" || *profileOut != "":
-		opt := core.ObserveOptions{SampleEvery: *sampleEvery}
+	var o *core.Observe
+	if *metricsOut != "" || *traceOut != "" || *profileOut != "" || *pcapPath != "" {
+		o = &core.Observe{SampleEvery: *sampleEvery, Capture: *pcapPath != ""}
 		if *traceOut != "" {
-			n := *traceSample
-			if n <= 0 {
-				n = tracing.DefaultSampleEvery
-			}
-			opt.Trace = tracing.Options{SampleEvery: n}
+			o.Trace = &tracing.Options{SampleEvery: *traceSample}
 		}
 		if *profileOut != "" {
-			opt.Profile = &profile.Options{KernelSampleEvery: *profileSample}
+			o.Profile = &profile.Options{KernelSampleEvery: *profileSample}
 		}
-		var inst *core.Instrumentation
-		p, inst, err = core.RunBandwidthObserved(s, opt)
+	}
+	p, inst, err := core.RunBandwidth(s, o)
+	if err != nil {
+		return err
+	}
+	if inst != nil {
+		base := fmt.Sprintf("floodsim_%s_depth-%d_rate-%.0f_%s", obs.SanitizeName(device.String()), *depth, *rate, mode(!*deny))
+		paths, err := inst.WriteArtifacts(*metricsOut, *traceOut, *profileOut, base)
 		if err != nil {
 			return err
-		}
-		base := fmt.Sprintf("floodsim_%s_depth-%d_rate-%.0f_%s", obs.SanitizeName(device.String()), *depth, *rate, mode(!*deny))
-		var paths []string
-		if *metricsOut != "" {
-			mp, werr := inst.WriteArtifacts(*metricsOut, base)
-			if werr != nil {
-				return werr
-			}
-			paths = append(paths, mp...)
-		}
-		if *traceOut != "" {
-			tp, werr := inst.WriteTraceArtifacts(*traceOut, base)
-			if werr != nil {
-				return werr
-			}
-			paths = append(paths, tp...)
-		}
-		if *profileOut != "" {
-			pp, werr := inst.WriteProfileArtifacts(*profileOut, base)
-			if werr != nil {
-				return werr
-			}
-			paths = append(paths, pp...)
 		}
 		for _, path := range paths {
 			fmt.Println("wrote", path)
 		}
-	case *pcapPath != "":
-		p, err = runWithCapture(s, *pcapPath)
-	default:
-		p, err = core.RunBandwidth(s)
-	}
-	if err != nil {
-		return err
+		if *pcapPath != "" {
+			if err := writePCAP(inst.Capture, *pcapPath); err != nil {
+				return err
+			}
+		}
 	}
 	fmt.Print(bandwidthReport(s, p))
 	return nil
@@ -267,7 +249,7 @@ func runSweep(base core.Scenario, depths []int, rates []float64, search bool, pa
 		defer col.Done(i)
 		sc := points[i].s
 		if search {
-			r, err := core.MinFloodRate(sc)
+			r, err := core.MinFloodRateFrom(sc, 0)
 			if err != nil {
 				return struct{}{}, err
 			}
@@ -277,7 +259,7 @@ func runSweep(base core.Scenario, depths []int, rates []float64, search bool, pa
 			col.Printf(i, "%s", searchReport(sc, r))
 			return struct{}{}, nil
 		}
-		p, err := core.RunBandwidth(sc)
+		p, _, err := core.RunBandwidth(sc, nil)
 		if err != nil {
 			return struct{}{}, err
 		}
@@ -340,21 +322,19 @@ func mode(allowed bool) string {
 	return "denied"
 }
 
-// runWithCapture mirrors core.RunBandwidth but taps the client's wire
-// and writes a pcap of the run.
-func runWithCapture(s core.Scenario, path string) (core.BandwidthPoint, error) {
-	p, cap, err := core.RunBandwidthCaptured(s)
-	if err != nil {
-		return p, err
-	}
+// writePCAP writes a run's client-wire capture to path.
+func writePCAP(cap *trace.Capture, path string) error {
 	f, err := os.Create(path)
 	if err != nil {
-		return p, err
+		return err
 	}
-	defer f.Close()
 	if err := cap.WritePCAP(f); err != nil {
-		return p, err
+		f.Close()
+		return err
+	}
+	if err := f.Close(); err != nil {
+		return err
 	}
 	fmt.Printf("wrote %d captured frames to %s\n", cap.Len(), path)
-	return p, nil
+	return nil
 }

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"os"
 	"path/filepath"
 	"testing"
 
@@ -19,6 +20,8 @@ func TestParseDevice(t *testing.T) {
 		{give: "vpg", want: core.DeviceADFVPG},
 		{give: "adf-vpg", want: core.DeviceADFVPG},
 		{give: "iptables", want: core.DeviceIPTables},
+		{give: "nextgen", want: core.DeviceNextGen},
+		{give: "stateful", want: core.DeviceStateful},
 		{give: "standard", want: core.DeviceStandard},
 		{give: "none", want: core.DeviceStandard},
 		{give: "3com", wantErr: true},
@@ -53,6 +56,23 @@ func TestRunMeasurementAndPcap(t *testing.T) {
 		"-duration", "200ms", "-pcap", pcap})
 	if err != nil {
 		t.Fatalf("run: %v", err)
+	}
+}
+
+// TestRunPcapWithArtifacts: one observed run writes the pcap and the
+// telemetry together.
+func TestRunPcapWithArtifacts(t *testing.T) {
+	dir := t.TempDir()
+	pcap := filepath.Join(dir, "out.pcap")
+	err := run([]string{"-device", "stateful", "-depth", "4", "-rate", "1000",
+		"-duration", "200ms", "-pcap", pcap, "-metrics-out", dir})
+	if err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	for _, name := range []string{"out.pcap", "floodsim_statefulfw_depth-4_rate-1000_allowed.prom"} {
+		if _, err := os.Stat(filepath.Join(dir, name)); err != nil {
+			t.Errorf("missing artifact: %v", err)
+		}
 	}
 }
 

@@ -26,11 +26,11 @@ func run() error {
 			depth = 0
 		}
 		for _, rate := range []float64{0, 2000, 4000, 6000} {
-			p, err := core.RunBandwidth(core.Scenario{
+			p, _, err := core.RunBandwidth(core.Scenario{
 				Device: device, Depth: depth,
 				FloodRatePPS: rate, FloodAllowed: true,
 				Duration: 2 * time.Second,
-			})
+			}, nil)
 			if err != nil {
 				return err
 			}
@@ -49,9 +49,9 @@ func run() error {
 		{core.DeviceADF, 64, false},
 		{core.DeviceEFW, 64, false}, // the Deny-All lockup case
 	} {
-		r, err := core.MinFloodRate(core.Scenario{
+		r, err := core.MinFloodRateFrom(core.Scenario{
 			Device: tc.device, Depth: tc.depth, FloodAllowed: tc.allowed,
-		})
+		}, 0)
 		if err != nil {
 			return err
 		}

@@ -122,14 +122,14 @@ func TestChaosPartitionNeedsRetries(t *testing.T) {
 // TestChaosDataPlaneFaultsViaScenario exercises the Scenario.Faults
 // hook floodsim uses: loss on the target's access link degrades iperf.
 func TestChaosDataPlaneFaultsViaScenario(t *testing.T) {
-	clean, err := core.RunBandwidth(core.Scenario{Device: core.DeviceADF, Depth: 1, Duration: time.Second})
+	clean, _, err := core.RunBandwidth(core.Scenario{Device: core.DeviceADF, Depth: 1, Duration: time.Second}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lossy, err := core.RunBandwidth(core.Scenario{
+	lossy, _, err := core.RunBandwidth(core.Scenario{
 		Device: core.DeviceADF, Depth: 1, Duration: time.Second,
 		Faults: &faults.Plan{Loss: 0.05},
-	})
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,12 +8,12 @@ import (
 
 // Reproduce the paper's headline number: the flood rate that denies
 // service to an EFW enforcing a single allow rule.
-func ExampleMinFloodRate() {
-	r, err := core.MinFloodRate(core.Scenario{
+func ExampleMinFloodRateFrom() {
+	r, err := core.MinFloodRateFrom(core.Scenario{
 		Device:       core.DeviceEFW,
 		Depth:        1,
 		FloodAllowed: true,
-	})
+	}, 0)
 	if err != nil {
 		fmt.Println(err)
 		return

@@ -47,13 +47,13 @@ func (p *Profiling) CostData() *profile.Data {
 // deterministic; wall-nanosecond values are measured on the host.
 func (p *Profiling) KernelData() *profile.Data { return p.Kernel.Data() }
 
-// WriteProfileArtifacts writes the run's profiles to dir as
+// writeProfile writes the run's profiles to dir as
 // <base>.cost.{pprof,folded} and <base>.kernel.{pprof,folded} —
 // gzipped pprof profile.proto plus folded stacks for
 // flamegraph.pl/speedscope. Returns the written paths; no-op when the
 // run was not profiled.
-func (in *Instrumentation) WriteProfileArtifacts(dir, base string) ([]string, error) {
-	if in == nil || in.Profiling == nil {
+func (in *Instrumentation) writeProfile(dir, base string) ([]string, error) {
+	if in.Profiling == nil {
 		return nil, nil
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {

@@ -8,7 +8,9 @@ import (
 	"barbican/internal/fw"
 	"barbican/internal/measure"
 	"barbican/internal/nic"
+	"barbican/internal/obs"
 	"barbican/internal/obs/profile"
+	"barbican/internal/obs/tracing"
 	"barbican/internal/packet"
 	"barbican/internal/trace"
 )
@@ -42,6 +44,12 @@ type Scenario struct {
 	// EXT3): later fragments carry no ports, so a port-based deny rule
 	// only ever stops the first fragment of each packet.
 	FloodFragmented bool
+	// FloodStart, when positive, gates the flood to a window inside the
+	// measurement: it switches on FloodStart after measurement start and,
+	// when FloodStop is later, off at FloodStop. Zero starts the flood
+	// 200 ms before the measurement, so it is at steady state throughout.
+	FloodStart time.Duration
+	FloodStop  time.Duration
 	// UseUDP measures raw UDP delivery instead of TCP goodput. The
 	// paper's iperf runs used the default protocol (TCP), whose collapse
 	// under loss is what turns card saturation into "0 Mbps available".
@@ -83,7 +91,7 @@ type BandwidthPoint struct {
 	SimSeconds float64
 	WallBusy   time.Duration
 	// CostProfile is the run's merged cost-domain card profile; nil
-	// unless the run was profiled (see RunBandwidthObserved). Excluded
+	// unless the run was profiled (see Observe.Profile). Excluded
 	// from point serialization — profiles have their own artifacts.
 	CostProfile *profile.Data `json:"-"`
 }
@@ -206,9 +214,11 @@ func vpgRuleSet(depth int, local packet.IP, trailing int) (*fw.RuleSet, error) {
 	return fw.NewRuleSet(fw.Deny, rules...)
 }
 
-// startFlood arms the scenario's flood (if any) and lets it reach steady
-// state before measurement.
-func startFlood(tb *Testbed, s Scenario) (*measure.Flooder, error) {
+// startFlood arms the scenario's flood (if any). An ungated flood
+// starts now and runs to steady state before measurement; a gated one
+// (FloodStart > 0) is scheduled into its window. A non-nil reg gets the
+// flooder's counters.
+func startFlood(tb *Testbed, s Scenario, reg *obs.Registry) (*measure.Flooder, error) {
 	if s.FloodRatePPS <= 0 {
 		return nil, nil
 	}
@@ -222,45 +232,78 @@ func startFlood(tb *Testbed, s Scenario) (*measure.Flooder, error) {
 		cfg.PayloadBytes = 24 // splits into two fragments at a 16-byte MTU chunk
 	}
 	f := measure.NewFlooder(tb.Attacker, tb.Target.IP(), cfg)
+	if s.FloodStart > 0 {
+		if reg != nil {
+			f.PublishMetrics(reg, obs.L("host", "attacker"))
+		}
+		tb.Kernel.After(s.FloodStart, f.Start)
+		if s.FloodStop > s.FloodStart {
+			tb.Kernel.After(s.FloodStop, f.Stop)
+		}
+		return f, nil
+	}
 	f.Start()
 	if err := tb.Kernel.RunFor(200 * time.Millisecond); err != nil {
 		return nil, err
 	}
+	if reg != nil {
+		f.PublishMetrics(reg, obs.L("host", "attacker"))
+	}
 	return f, nil
+}
+
+// Observe selects what rides along with a RunBandwidth run. A non-nil
+// Observe always attaches a metrics registry and a flight recorder
+// ticking every SampleEvery of virtual time (<= 0 uses
+// obs.DefaultSampleEvery); the iperf sink's byte counter joins the
+// registry, so the recorded timeline carries an instantaneous-goodput
+// series. The other fields add the packet tracer, the dual-domain
+// profiler and a passive capture of the client's wire.
+type Observe struct {
+	SampleEvery time.Duration
+	// Trace attaches a packet tracer when non-nil.
+	Trace *tracing.Options
+	// Profile attaches the dual-domain profiler when non-nil.
+	Profile *profile.Options
+	// Capture taps the client's access-link endpoint (both directions)
+	// for the whole run.
+	Capture bool
 }
 
 // RunBandwidth executes a bandwidth scenario: build the testbed, start
 // the flood (if any), and measure available bandwidth between client and
-// target with the iperf tool.
-func RunBandwidth(s Scenario) (BandwidthPoint, error) {
-	return runBandwidth(s, nil)
-}
-
-// RunBandwidthCaptured is RunBandwidth with a passive trace capture
-// tapped on the client's wire for the whole run.
-func RunBandwidthCaptured(s Scenario) (BandwidthPoint, *trace.Capture, error) {
-	var cap *trace.Capture
-	p, err := runBandwidth(s, func(tb *Testbed) {
-		cap = trace.NewCapture(tb.Kernel, 0)
-		cap.Tap(tb.Client.NIC().Endpoint())
-	})
-	return p, cap, err
-}
-
-func runBandwidth(s Scenario, tap func(*Testbed)) (BandwidthPoint, error) {
+// target with the iperf tool. With a nil o it attaches nothing and
+// returns a nil Instrumentation; otherwise it returns the run's
+// instrumentation, finished, and a profiled point carries its merged
+// cost-domain profile (CostProfile) so experiment fan-outs can merge
+// per-point profiles deterministically.
+func RunBandwidth(s Scenario, o *Observe) (BandwidthPoint, *Instrumentation, error) {
 	tb, err := buildTestbed(s)
 	if err != nil {
-		return BandwidthPoint{}, err
+		return BandwidthPoint{}, nil, err
 	}
-	if tap != nil {
-		tap(tb)
+	var inst *Instrumentation
+	var reg *obs.Registry
+	if o != nil {
+		inst = instrument(tb, o.SampleEvery)
+		reg = inst.Registry
+		if o.Trace != nil {
+			inst.Tracer = tb.AttachTracer(*o.Trace)
+		}
+		if o.Profile != nil {
+			inst.Profiling = tb.AttachProfiler(*o.Profile)
+		}
+		if o.Capture {
+			inst.Capture = trace.NewCapture(tb.Kernel, 0)
+			inst.Capture.Tap(tb.Client.NIC().Endpoint())
+		}
 	}
-	flood, err := startFlood(tb, s)
+	flood, err := startFlood(tb, s, reg)
 	if err != nil {
-		return BandwidthPoint{}, err
+		return BandwidthPoint{}, nil, err
 	}
 
-	cfg := measure.IperfConfig{Duration: s.Duration}
+	cfg := measure.IperfConfig{Duration: s.Duration, Metrics: reg}
 	var res measure.IperfResult
 	if s.UseUDP {
 		res, err = measure.RunUDPIperf(tb.Kernel, tb.Client, tb.Target, cfg)
@@ -268,7 +311,7 @@ func runBandwidth(s Scenario, tap func(*Testbed)) (BandwidthPoint, error) {
 		res, err = measure.RunTCPIperf(tb.Kernel, tb.Client, tb.Target, cfg)
 	}
 	if err != nil {
-		return BandwidthPoint{}, err
+		return BandwidthPoint{}, nil, err
 	}
 	p := BandwidthPoint{
 		Scenario:     s,
@@ -283,7 +326,13 @@ func runBandwidth(s Scenario, tap func(*Testbed)) (BandwidthPoint, error) {
 		flood.Stop()
 		p.FloodSent = flood.Sent()
 	}
-	return p, nil
+	if inst != nil {
+		if inst.Profiling != nil {
+			p.CostProfile = inst.Profiling.CostData()
+		}
+		inst.finish()
+	}
+	return p, inst, nil
 }
 
 // RunHTTP executes an HTTP load scenario against a web server on the
@@ -296,7 +345,7 @@ func RunHTTP(s Scenario) (HTTPPoint, error) {
 	if err := setupHTTPServer(tb); err != nil {
 		return HTTPPoint{}, err
 	}
-	flood, err := startFlood(tb, s)
+	flood, err := startFlood(tb, s, nil)
 	if err != nil {
 		return HTTPPoint{}, err
 	}

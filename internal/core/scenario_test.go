@@ -15,7 +15,7 @@ func bw(t *testing.T, s Scenario) BandwidthPoint {
 	if s.Duration == 0 {
 		s.Duration = 2 * time.Second
 	}
-	p, err := RunBandwidth(s)
+	p, _, err := RunBandwidth(s, nil)
 	if err != nil {
 		t.Fatalf("RunBandwidth(%+v): %v", s, err)
 	}
@@ -141,11 +141,11 @@ func TestFloodBandwidthMonotoneInRate(t *testing.T) {
 }
 
 func TestMinFloodRateDeclinesWithDepth(t *testing.T) {
-	shallow, err := MinFloodRate(Scenario{Device: DeviceEFW, Depth: 1, FloodAllowed: true})
+	shallow, err := MinFloodRateFrom(Scenario{Device: DeviceEFW, Depth: 1, FloodAllowed: true}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	deep, err := MinFloodRate(Scenario{Device: DeviceEFW, Depth: 64, FloodAllowed: true})
+	deep, err := MinFloodRateFrom(Scenario{Device: DeviceEFW, Depth: 64, FloodAllowed: true}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,11 +165,11 @@ func TestMinFloodRateDeclinesWithDepth(t *testing.T) {
 }
 
 func TestDenyingFloodRoughlyDoublesMinRate(t *testing.T) {
-	allow, err := MinFloodRate(Scenario{Device: DeviceADF, Depth: 64, FloodAllowed: true})
+	allow, err := MinFloodRateFrom(Scenario{Device: DeviceADF, Depth: 64, FloodAllowed: true}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	deny, err := MinFloodRate(Scenario{Device: DeviceADF, Depth: 64, FloodAllowed: false})
+	deny, err := MinFloodRateFrom(Scenario{Device: DeviceADF, Depth: 64, FloodAllowed: false}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +180,7 @@ func TestDenyingFloodRoughlyDoublesMinRate(t *testing.T) {
 }
 
 func TestEFWDenyAllLocksUpJustAbove1000PPS(t *testing.T) {
-	r, err := MinFloodRate(Scenario{Device: DeviceEFW, Depth: 64, FloodAllowed: false})
+	r, err := MinFloodRateFrom(Scenario{Device: DeviceEFW, Depth: 64, FloodAllowed: false}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -369,7 +369,7 @@ func TestNextGenCardSurvivesFloods(t *testing.T) {
 	if flood.Mbps() < 70 {
 		t.Errorf("NextGen under 12.5k pps flood = %.1f Mbps, want ≥70", flood.Mbps())
 	}
-	r, err := MinFloodRate(Scenario{Device: DeviceNextGen, Depth: 64, FloodAllowed: true})
+	r, err := MinFloodRateFrom(Scenario{Device: DeviceNextGen, Depth: 64, FloodAllowed: true}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -396,11 +396,11 @@ func TestFloodKindTCPSYN(t *testing.T) {
 func TestFragmentEvasionShape(t *testing.T) {
 	// EXT3: fragmenting a denied flood claws back (most of) the factor
 	// of two that denying it bought.
-	deny, err := MinFloodRate(Scenario{Device: DeviceADF, Depth: 64, FloodAllowed: false})
+	deny, err := MinFloodRateFrom(Scenario{Device: DeviceADF, Depth: 64, FloodAllowed: false}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	frag, err := MinFloodRate(Scenario{Device: DeviceADF, Depth: 64, FloodAllowed: false, FloodFragmented: true})
+	frag, err := MinFloodRateFrom(Scenario{Device: DeviceADF, Depth: 64, FloodAllowed: false, FloodFragmented: true}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

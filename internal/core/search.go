@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"barbican/internal/apps"
+	"barbican/internal/measure"
 )
 
 // DoSThresholdMbps is the paper's denial-of-service criterion: the
@@ -40,140 +41,49 @@ type MinFloodResult struct {
 	WallBusy   time.Duration
 }
 
-// MinFloodRate finds the minimum flood rate causing denial of service
-// for the scenario by binary search over the flood rate. The scenario's
-// FloodRatePPS field is ignored; each probe builds a fresh testbed so
-// probes are independent and deterministic.
-func MinFloodRate(s Scenario) (MinFloodResult, error) {
-	return MinFloodRateFrom(s, 0)
-}
-
-// MinFloodRateFrom is MinFloodRate warm-started from a neighboring
-// result. A positive hint (typically the threshold found at the previous
-// rule-set depth) seeds the bisection bracket by galloping outward from
-// the hint instead of probing the full search bounds, cutting probe
-// count when adjacent depths have nearby thresholds — which Figure 3(b)'s
-// sweep structure guarantees. hint <= 0 runs the cold search.
+// MinFloodRateFrom finds the minimum flood rate causing denial of
+// service for the scenario by a search over the flood rate (see
+// measure.Boundary) between MinSearchRatePPS and MaxSearchRatePPS, to
+// SearchResolutionPPS. The scenario's FloodRatePPS field is ignored;
+// each probe builds a fresh testbed so probes are independent and
+// deterministic.
+//
+// A hint inside the bounds (typically the threshold found at the
+// previous rule-set depth) warm-starts the search by galloping outward
+// from it instead of probing the full bounds, cutting probe count when
+// adjacent depths have nearby thresholds — which Figure 3(b)'s sweep
+// structure guarantees. hint <= 0 runs the cold search.
 func MinFloodRateFrom(s Scenario, hint float64) (MinFloodResult, error) {
 	if s.Duration == 0 {
 		s.Duration = 2 * time.Second // probes trade window length for search depth
 	}
 	res := MinFloodResult{Scenario: s}
-
-	probe := func(rate float64) (bool, bool, error) {
+	dos := func(rate float64) (bool, error) {
 		sc := s
 		sc.FloodRatePPS = rate
-		p, err := RunBandwidth(sc)
+		p, _, err := RunBandwidth(sc, nil)
 		if err != nil {
-			return false, false, err
+			return false, err
 		}
 		res.Probes++
 		res.SimSeconds += p.SimSeconds
 		res.WallBusy += p.WallBusy
 		// A wedged card is a successful denial of service even if some
 		// bytes moved before it locked up.
-		return p.Mbps() < DoSThresholdMbps || p.TargetLocked, p.TargetLocked, nil
+		hit := p.Mbps() < DoSThresholdMbps || p.TargetLocked
+		if hit {
+			// The result is the last rate that hit; report its lockup.
+			res.LockedUp = p.TargetLocked
+		}
+		return hit, nil
 	}
-
-	var lo, hi float64
-	if hint > 0 {
-		// Warm start: bracket the threshold by galloping outward from the
-		// hint. Each direction doubles its distance from the hint until the
-		// probe outcome flips or the cold bound is reached.
-		lo, hi = hint, hint
-		if lo < MinSearchRatePPS {
-			lo = MinSearchRatePPS
-		}
-		if hi > MaxSearchRatePPS {
-			hi = MaxSearchRatePPS
-		}
-		ok, locked, err := probe(hi)
-		if err != nil {
-			return res, err
-		}
-		step := float64(SearchResolutionPPS)
-		if ok {
-			// The hint already causes DoS: gallop down for a non-DoS lo.
-			res.Found = true
-			res.LockedUp = locked
-			for {
-				lo = hi - step
-				if lo <= MinSearchRatePPS {
-					lo = MinSearchRatePPS
-				}
-				ok2, locked2, err := probe(lo)
-				if err != nil {
-					return res, err
-				}
-				if !ok2 {
-					break
-				}
-				hi = lo
-				res.LockedUp = locked2
-				if lo == MinSearchRatePPS {
-					// Even the floor rate causes DoS.
-					res.RatePPS = lo
-					return res, nil
-				}
-				step *= 2
-			}
-		} else {
-			// The hint does not cause DoS: gallop up for a DoS hi.
-			for {
-				hi = lo + step
-				if hi >= MaxSearchRatePPS {
-					hi = MaxSearchRatePPS
-				}
-				ok2, locked2, err := probe(hi)
-				if err != nil {
-					return res, err
-				}
-				if ok2 {
-					res.Found = true
-					res.LockedUp = locked2
-					break
-				}
-				lo = hi
-				if hi == MaxSearchRatePPS {
-					return res, nil // not even the maximum rate causes DoS
-				}
-				step *= 2
-			}
-		}
-	} else {
-		lo, hi = float64(MinSearchRatePPS), float64(MaxSearchRatePPS)
-		ok, locked, err := probe(hi)
-		if err != nil {
-			return res, err
-		}
-		if !ok {
-			return res, nil // not even the maximum rate causes DoS
-		}
-		res.Found = true
-		res.LockedUp = locked
-		// Invariant: hi causes DoS, lo does not (or lo is the lower bound).
-		if ok2, locked2, err := probe(lo); err != nil {
-			return res, err
-		} else if ok2 {
-			res.RatePPS = lo
-			res.LockedUp = locked2
-			return res, nil
-		}
+	_, rate, found, err := measure.Boundary(MinSearchRatePPS, MaxSearchRatePPS, SearchResolutionPPS, hint, dos)
+	if err != nil {
+		return res, err
 	}
-	for hi-lo > SearchResolutionPPS {
-		mid := (lo + hi) / 2
-		ok, locked, err := probe(mid)
-		if err != nil {
-			return res, err
-		}
-		if ok {
-			hi = mid
-			res.LockedUp = locked
-		} else {
-			lo = mid
-		}
+	if found {
+		res.Found, res.RatePPS = true, rate
 	}
-	res.RatePPS = hi
 	return res, nil
 }
 

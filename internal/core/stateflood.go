@@ -357,23 +357,16 @@ type MinStatefloodResult struct {
 	WallBusy   time.Duration
 }
 
-// MinStatefloodRate finds the minimum flood rate that denies service to
-// the probe session, by the same galloping bisection as MinFloodRate
-// but with the session-survival criterion instead of the bandwidth one.
-// The scenario's FloodRatePPS is ignored; each probe builds a fresh
-// testbed.
-func MinStatefloodRate(s StatefloodScenario) (MinStatefloodResult, error) {
-	return MinStatefloodRateFrom(s, 0)
-}
-
-// MinStatefloodRateFrom is MinStatefloodRate warm-started from a
-// neighboring result (see MinFloodRateFrom); hint <= 0 runs the cold
-// search.
+// MinStatefloodRateFrom finds the minimum flood rate that denies
+// service to the probe session, by the same search and bounds as
+// MinFloodRateFrom but with the session-survival criterion instead of
+// the bandwidth one. The scenario's FloodRatePPS is ignored; each probe
+// builds a fresh testbed. A hint warm-starts the search as in
+// MinFloodRateFrom; hint <= 0 runs the cold search.
 func MinStatefloodRateFrom(s StatefloodScenario, hint float64) (MinStatefloodResult, error) {
 	s.defaults()
 	res := MinStatefloodResult{Scenario: s}
-
-	probe := func(rate float64) (bool, error) {
+	dos := func(rate float64) (bool, error) {
 		sc := s
 		sc.FloodRatePPS = rate
 		p, err := RunStateflood(sc)
@@ -385,93 +378,13 @@ func MinStatefloodRateFrom(s StatefloodScenario, hint float64) (MinStatefloodRes
 		res.WallBusy += p.WallBusy
 		return p.DoSed(), nil
 	}
-
-	var lo, hi float64
-	if hint > 0 {
-		lo, hi = hint, hint
-		if lo < MinSearchRatePPS {
-			lo = MinSearchRatePPS
-		}
-		if hi > MaxSearchRatePPS {
-			hi = MaxSearchRatePPS
-		}
-		ok, err := probe(hi)
-		if err != nil {
-			return res, err
-		}
-		step := float64(SearchResolutionPPS)
-		if ok {
-			res.Found = true
-			for {
-				lo = hi - step
-				if lo <= MinSearchRatePPS {
-					lo = MinSearchRatePPS
-				}
-				ok2, err := probe(lo)
-				if err != nil {
-					return res, err
-				}
-				if !ok2 {
-					break
-				}
-				hi = lo
-				if lo == MinSearchRatePPS {
-					res.RatePPS = lo
-					return res, nil
-				}
-				step *= 2
-			}
-		} else {
-			for {
-				hi = lo + step
-				if hi >= MaxSearchRatePPS {
-					hi = MaxSearchRatePPS
-				}
-				ok2, err := probe(hi)
-				if err != nil {
-					return res, err
-				}
-				if ok2 {
-					res.Found = true
-					break
-				}
-				lo = hi
-				if hi == MaxSearchRatePPS {
-					return res, nil
-				}
-				step *= 2
-			}
-		}
-	} else {
-		lo, hi = float64(MinSearchRatePPS), float64(MaxSearchRatePPS)
-		ok, err := probe(hi)
-		if err != nil {
-			return res, err
-		}
-		if !ok {
-			return res, nil
-		}
-		res.Found = true
-		if ok2, err := probe(lo); err != nil {
-			return res, err
-		} else if ok2 {
-			res.RatePPS = lo
-			return res, nil
-		}
+	_, rate, found, err := measure.Boundary(MinSearchRatePPS, MaxSearchRatePPS, SearchResolutionPPS, hint, dos)
+	if err != nil {
+		return res, err
 	}
-	for hi-lo > SearchResolutionPPS {
-		mid := (lo + hi) / 2
-		ok, err := probe(mid)
-		if err != nil {
-			return res, err
-		}
-		if ok {
-			hi = mid
-		} else {
-			lo = mid
-		}
+	if found {
+		res.Found, res.RatePPS = true, rate
 	}
-	res.RatePPS = hi
 	return res, nil
 }
 

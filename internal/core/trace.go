@@ -135,13 +135,13 @@ func dropCounterTracks(in *Instrumentation) []tracing.CounterTrack {
 	return tracks
 }
 
-// WriteTraceArtifacts writes the run's packet traces to dir as
+// writeTrace writes the run's packet traces to dir as
 // <base>.trace.json (Perfetto trace_event format, embedding the
 // authoritative per-reason drop totals and recorder drop tracks) and
 // <base>.trace.txt (tcpdump-style annotated log). Returns the written
 // paths; no-op when the run was not traced.
-func (in *Instrumentation) WriteTraceArtifacts(dir, base string) ([]string, error) {
-	if in == nil || in.Tracer == nil {
+func (in *Instrumentation) writeTrace(dir, base string) ([]string, error) {
+	if in.Tracer == nil {
 		return nil, nil
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {

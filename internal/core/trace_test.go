@@ -28,7 +28,7 @@ func floodScenario() Scenario {
 // embedded drop-reason counters sum exactly to the target card's
 // total dropped packets.
 func TestTracedFloodDropCountersSumToTotalDrops(t *testing.T) {
-	p, inst, err := RunBandwidthTraced(floodScenario(), 0, tracing.Options{SampleEvery: 64})
+	_, inst, err := RunBandwidth(floodScenario(), &Observe{Trace: &tracing.Options{SampleEvery: 64}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,18 +85,17 @@ func TestTracedFloodDropCountersSumToTotalDrops(t *testing.T) {
 	if drops["cpu-exhausted"] == 0 {
 		t.Fatalf("expected cpu-exhausted drops in collapse regime, got %v", drops)
 	}
-	_ = p
 }
 
 // TestTracingDoesNotPerturbSimulation: attaching the tracer must not
 // change any simulated outcome — same bandwidth, same NIC counters.
 func TestTracingDoesNotPerturbSimulation(t *testing.T) {
 	s := floodScenario()
-	plain, err := RunBandwidth(s)
+	plain, _, err := RunBandwidth(s, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	traced, _, err := RunBandwidthTraced(s, 0, tracing.Options{SampleEvery: 8})
+	traced, _, err := RunBandwidth(s, &Observe{Trace: &tracing.Options{SampleEvery: 8}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,11 +111,11 @@ func TestTracingDoesNotPerturbSimulation(t *testing.T) {
 // per-rule breakdown with hits on the action rule and monotonically
 // increasing predicted walk latency.
 func TestRuleAttributionPopulated(t *testing.T) {
-	p, err := RunBandwidth(Scenario{
+	p, _, err := RunBandwidth(Scenario{
 		Device:   DeviceEFW,
 		Depth:    64,
 		Duration: 300 * time.Millisecond,
-	})
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

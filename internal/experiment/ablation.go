@@ -10,7 +10,7 @@ import (
 // runAccountedBandwidth is core.RunBandwidth plus executor accounting —
 // the shared body of the ablation points.
 func runAccountedBandwidth(cfg Config, s core.Scenario) (core.BandwidthPoint, error) {
-	p, err := core.RunBandwidth(s)
+	p, _, err := core.RunBandwidth(s, nil)
 	if err != nil {
 		return p, err
 	}

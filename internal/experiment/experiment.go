@@ -13,6 +13,7 @@ import (
 	"strings"
 	"time"
 
+	"barbican/internal/core"
 	"barbican/internal/faults"
 	"barbican/internal/obs/profile"
 	"barbican/internal/obs/tracing"
@@ -182,26 +183,21 @@ type Config struct {
 // pool returns the executor pool the configuration selects.
 func (c Config) pool() runner.Pool { return runner.Pool{Workers: c.Parallel} }
 
-// traceOptions returns the tracer options the configuration selects:
-// disabled (zero value) unless TraceDir is set.
-func (c Config) traceOptions() tracing.Options {
-	if c.TraceDir == "" {
-		return tracing.Options{}
-	}
-	n := c.TraceSample
-	if n <= 0 {
-		n = tracing.DefaultSampleEvery
-	}
-	return tracing.Options{SampleEvery: n}
-}
-
-// profileOptions returns the profiler options the configuration
-// selects: nil (disabled) unless ProfileDir is set.
-func (c Config) profileOptions() *profile.Options {
-	if c.ProfileDir == "" {
+// observe returns the observability cfg selects for a bandwidth run:
+// nil (a plain run) unless an artifact directory is set; the tracer
+// with TraceDir and the profiler with ProfileDir.
+func (c Config) observe() *core.Observe {
+	if c.MetricsDir == "" && c.TraceDir == "" && c.ProfileDir == "" {
 		return nil
 	}
-	return &profile.Options{KernelSampleEvery: c.ProfileSample}
+	o := &core.Observe{SampleEvery: c.SampleEvery}
+	if c.TraceDir != "" {
+		o.Trace = &tracing.Options{SampleEvery: c.TraceSample}
+	}
+	if c.ProfileDir != "" {
+		o.Profile = &profile.Options{KernelSampleEvery: c.ProfileSample}
+	}
+	return o
 }
 
 // account records one completed point's cost (or several, for searches

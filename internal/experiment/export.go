@@ -13,50 +13,41 @@ import (
 	"barbican/internal/obs/profile"
 )
 
-// runObservedBandwidth runs a bandwidth scenario, attaching a flight
-// recorder (and, per cfg, a packet tracer and/or profiler) and
-// writing per-run telemetry artifacts when cfg.MetricsDir,
-// cfg.TraceDir, or cfg.ProfileDir is set; otherwise it is plain
-// core.RunBandwidth. exp and label name the artifact files:
-// <MetricsDir>/<exp>/<label>.{prom,csv,json},
-// <TraceDir>/<exp>/<label>.trace.{json,txt}, and
-// <ProfileDir>/<exp>/<label>.{cost,kernel}.{pprof,folded}. Profiled
-// points carry their merged cost profile (CostProfile) back to the
-// caller for per-experiment aggregation.
+// runObservedBandwidth runs a bandwidth scenario with the
+// observability cfg selects (see Config.observe) and writes its
+// artifacts under <dir>/<exp>/<label>.*, plus the per-rule attribution
+// next to the telemetry. Without an artifact directory it is a plain
+// core.RunBandwidth. Profiled points carry their merged cost profile
+// (CostProfile) back to the caller for per-experiment aggregation.
 func runObservedBandwidth(cfg Config, exp, label string, s core.Scenario) (core.BandwidthPoint, error) {
-	if cfg.MetricsDir == "" && cfg.TraceDir == "" && cfg.ProfileDir == "" {
-		return core.RunBandwidth(s)
-	}
-	p, inst, err := core.RunBandwidthObserved(s, core.ObserveOptions{
-		SampleEvery: cfg.SampleEvery,
-		Trace:       cfg.traceOptions(),
-		Profile:     cfg.profileOptions(),
-	})
-	if err != nil {
+	p, inst, err := core.RunBandwidth(s, cfg.observe())
+	if err != nil || inst == nil {
 		return p, err
 	}
-	if cfg.MetricsDir != "" {
-		dir := filepath.Join(cfg.MetricsDir, exp)
-		if _, err := inst.WriteArtifacts(dir, label); err != nil {
-			return p, fmt.Errorf("%s/%s: %w", exp, label, err)
-		}
-		if p.Attribution != nil {
-			if err := WriteRuleAttribution(dir, label, p.Attribution); err != nil {
-				return p, fmt.Errorf("%s/%s: %w", exp, label, err)
-			}
-		}
+	if err := cfg.writeRunArtifacts(inst, exp, label); err != nil {
+		return p, err
 	}
-	if cfg.TraceDir != "" {
-		if _, err := inst.WriteTraceArtifacts(filepath.Join(cfg.TraceDir, exp), label); err != nil {
-			return p, fmt.Errorf("%s/%s: %w", exp, label, err)
-		}
-	}
-	if cfg.ProfileDir != "" {
-		if _, err := inst.WriteProfileArtifacts(filepath.Join(cfg.ProfileDir, exp), label); err != nil {
+	if cfg.MetricsDir != "" && p.Attribution != nil {
+		if err := WriteRuleAttribution(filepath.Join(cfg.MetricsDir, exp), label, p.Attribution); err != nil {
 			return p, fmt.Errorf("%s/%s: %w", exp, label, err)
 		}
 	}
 	return p, nil
+}
+
+// writeRunArtifacts writes one observed run's artifacts as
+// <dir>/<exp>/<label>.* for each artifact directory cfg sets.
+func (cfg Config) writeRunArtifacts(inst *core.Instrumentation, exp, label string) error {
+	sub := func(dir string) string {
+		if dir == "" {
+			return ""
+		}
+		return filepath.Join(dir, exp)
+	}
+	if _, err := inst.WriteArtifacts(sub(cfg.MetricsDir), sub(cfg.TraceDir), sub(cfg.ProfileDir), label); err != nil {
+		return fmt.Errorf("%s/%s: %w", exp, label, err)
+	}
+	return nil
 }
 
 // writeMergedCostProfile merges per-point cost profiles (in the order

@@ -30,11 +30,11 @@ func ExtensionFragmentEvasion(cfg Config) (*Table, error) {
 
 	rows, err := runner.Map(cfg.pool(), len(cases), func(i int) ([]string, error) {
 		tc := cases[i]
-		r, err := core.MinFloodRate(core.Scenario{
+		r, err := core.MinFloodRateFrom(core.Scenario{
 			Device: device, Depth: depth,
 			FloodAllowed: tc.allowed, FloodFragmented: tc.fragment,
 			Duration: cfg.bandwidthDuration(), Seed: cfg.Seed,
-		})
+		}, 0)
 		if err != nil {
 			return nil, err
 		}

@@ -42,10 +42,10 @@ func ExtensionNextGen(cfg Config) (*Table, error) {
 	}
 	minFlood := func(dev core.Device) func() (string, error) {
 		return func() (string, error) {
-			r, err := core.MinFloodRate(core.Scenario{
+			r, err := core.MinFloodRateFrom(core.Scenario{
 				Device: dev, Depth: 64, FloodAllowed: true,
 				Duration: cfg.bandwidthDuration(), Seed: cfg.Seed,
-			})
+			}, 0)
 			if err != nil {
 				return "", err
 			}

@@ -14,11 +14,12 @@ import (
 // testbeds, or scratch buffers.
 func TestConcurrentPointsRace(t *testing.T) {
 	points, err := runner.Map(runner.Pool{Workers: 2}, 2, func(i int) (core.BandwidthPoint, error) {
-		return core.RunBandwidth(core.Scenario{
+		p, _, err := core.RunBandwidth(core.Scenario{
 			Device: core.DeviceEFW, Depth: 1 + 63*i, // one cheap point, one deep one
 			FloodRatePPS: 4000 * float64(i), FloodAllowed: true,
 			Duration: 250 * time.Millisecond,
-		})
+		}, nil)
+		return p, err
 	})
 	if err != nil {
 		t.Fatal(err)

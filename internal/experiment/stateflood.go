@@ -102,7 +102,7 @@ type statefloodThresholdRow struct {
 
 func statefloodSessionSearch(kind measure.FloodKind, policy conntrack.EvictPolicy) func(Config) (bool, float64, int, float64, time.Duration, error) {
 	return func(cfg Config) (bool, float64, int, float64, time.Duration, error) {
-		r, err := core.MinStatefloodRate(cfg.statefloodScenario(kind, policy, 0))
+		r, err := core.MinStatefloodRateFrom(cfg.statefloodScenario(kind, policy, 0), 0)
 		if err != nil {
 			return false, 0, 0, 0, 0, err
 		}
@@ -112,13 +112,13 @@ func statefloodSessionSearch(kind measure.FloodKind, policy conntrack.EvictPolic
 
 func statefloodBandwidthSearch(allowed bool) func(Config) (bool, float64, int, float64, time.Duration, error) {
 	return func(cfg Config) (bool, float64, int, float64, time.Duration, error) {
-		r, err := core.MinFloodRate(core.Scenario{
+		r, err := core.MinFloodRateFrom(core.Scenario{
 			Device:       core.DeviceStateful,
 			Depth:        64,
 			FloodAllowed: allowed,
 			Seed:         cfg.Seed,
 			Duration:     cfg.statefloodDuration(),
-		})
+		}, 0)
 		if err != nil {
 			return false, 0, 0, 0, 0, err
 		}

@@ -2,7 +2,6 @@ package experiment
 
 import (
 	"fmt"
-	"path/filepath"
 
 	"barbican/internal/core"
 	"barbican/internal/obs"
@@ -20,10 +19,11 @@ const FloodTimelineRate = 12500
 // continuously while a 12,500 packets/s flood switches on mid-run (and,
 // for the quick variant, off again before the end). The instantaneous
 // goodput and target-card drop-rate series come straight from the
-// flight recorder; with Config.MetricsDir set the full per-run
-// telemetry is written alongside. Each device's run is one executor
-// task (every run owns a private kernel and recorder, and artifact
-// files are named per device, so tasks never contend).
+// flight recorder; with Config.MetricsDir, TraceDir or ProfileDir set
+// the per-run telemetry, traces or profiles are written alongside. Each
+// device's run is one executor task (every run owns a private kernel
+// and recorder, and artifact files are named per device, so tasks never
+// contend).
 func FloodTimeline(cfg Config) (*Figure, error) {
 	duration := 4 * cfg.bandwidthDuration()
 	floodStart := duration / 4
@@ -50,14 +50,16 @@ func FloodTimeline(cfg Config) (*Figure, error) {
 		s := core.Scenario{
 			Device: dev, Depth: depth,
 			FloodRatePPS: FloodTimelineRate, FloodAllowed: true,
+			FloodStart: floodStart, FloodStop: floodStop,
 			Duration: duration, Seed: cfg.Seed,
 		}
-		p, inst, err := core.RunFloodTimeline(s, core.TimelineOptions{
-			SampleEvery: cfg.SampleEvery,
-			FloodStart:  floodStart,
-			FloodStop:   floodStop,
-			Trace:       cfg.traceOptions(),
-		})
+		// The figure is read off the flight recorder, so every run is
+		// observed; the artifact directories only decide what is kept.
+		o := cfg.observe()
+		if o == nil {
+			o = &core.Observe{SampleEvery: cfg.SampleEvery}
+		}
+		p, inst, err := core.RunBandwidth(s, o)
 		if err != nil {
 			return nil, fmt.Errorf("timeline %v: %w", dev, err)
 		}
@@ -98,17 +100,8 @@ func FloodTimeline(cfg Config) (*Figure, error) {
 			}
 		}
 
-		if cfg.MetricsDir != "" {
-			dir := filepath.Join(cfg.MetricsDir, "timeline")
-			if _, err := inst.WriteArtifacts(dir, obs.SanitizeName(dev.String())); err != nil {
-				return nil, err
-			}
-		}
-		if cfg.TraceDir != "" {
-			dir := filepath.Join(cfg.TraceDir, "timeline")
-			if _, err := inst.WriteTraceArtifacts(dir, obs.SanitizeName(dev.String())); err != nil {
-				return nil, err
-			}
+		if err := cfg.writeRunArtifacts(inst, "timeline", obs.SanitizeName(dev.String())); err != nil {
+			return nil, err
 		}
 		return out, nil
 	})

@@ -80,26 +80,18 @@ func (r ThroughputResult) String() string {
 // frame counts.
 type trialFn func(rate float64) (sent, received uint64, err error)
 
-// ZeroLossThroughput performs the RFC 2544 §26.1 throughput search for
-// one frame size: binary search on the offered rate for the highest
-// rate whose loss is within tolerance. newTrial must build a *fresh*
-// client/server pair per trial (trials must be independent); it is
-// invoked once per trial.
-func ZeroLossThroughput(cfg ThroughputConfig, maxRate float64, trial trialFn) (ThroughputResult, error) {
-	return ZeroLossThroughputFrom(cfg, maxRate, 0, trial)
-}
-
-// ZeroLossThroughputFrom is ZeroLossThroughput warm-started from a
-// neighboring result. A hint in (0, maxRate) — typically the passing
-// rate found at the adjacent frame size, scaled by the size ratio —
-// seeds the bisection bracket by galloping outward from the hint, which
-// cuts trial count when neighboring sizes saturate at nearby rates.
-// hint <= 0 runs the cold search.
+// ZeroLossThroughputFrom performs the RFC 2544 §26.1 throughput search
+// for one frame size: a search (see Boundary) on the offered rate for
+// the highest rate whose loss is within tolerance, to a resolution of
+// maxRate/256. A hint in (0, maxRate) — typically the passing rate found
+// at the adjacent frame size, scaled by the size ratio — warm-starts the
+// search, which cuts trial count when neighboring sizes saturate at
+// nearby rates; any other hint runs the cold search. trial must build a
+// *fresh* client/server pair per call (trials must be independent).
 func ZeroLossThroughputFrom(cfg ThroughputConfig, maxRate, hint float64, trial trialFn) (ThroughputResult, error) {
 	cfg = cfg.withDefaults()
 	res := ThroughputResult{FrameSize: cfg.FrameSize}
-
-	passes := func(rate float64) (bool, error) {
+	loses := func(rate float64) (bool, error) {
 		sent, received, err := trial(rate)
 		if err != nil {
 			return false, err
@@ -108,89 +100,15 @@ func ZeroLossThroughputFrom(cfg ThroughputConfig, maxRate, hint float64, trial t
 		if sent == 0 {
 			return false, fmt.Errorf("measure: trial offered no frames")
 		}
-		loss := 1 - float64(received)/float64(sent)
-		return loss <= cfg.LossTolerance, nil
+		return 1-float64(received)/float64(sent) > cfg.LossTolerance, nil
 	}
-
-	var lo, hi float64
-	if hint > 0 && hint < maxRate {
-		// Warm start: establish the lo-passes / hi-fails bracket by
-		// galloping from the hint, doubling the step until the outcome
-		// flips or a cold bound is reached.
-		ok, err := passes(hint)
-		if err != nil {
-			return res, err
-		}
-		step := maxRate / 256
-		if ok {
-			lo = hint
-			for {
-				hi = lo + step
-				if hi >= maxRate {
-					hi = maxRate
-				}
-				ok2, err := passes(hi)
-				if err != nil {
-					return res, err
-				}
-				if !ok2 {
-					break
-				}
-				lo = hi
-				if hi == maxRate {
-					res.FramesPerSec = maxRate
-					res.LineRateLimited = true
-					res.Mbps = maxRate * float64(cfg.FrameSize) * 8 / 1e6
-					return res, nil
-				}
-				step *= 2
-			}
-		} else {
-			hi = hint
-			for {
-				lo = hi - step
-				if lo <= 0 {
-					lo = 0
-					break // lo passes vacuously
-				}
-				ok2, err := passes(lo)
-				if err != nil {
-					return res, err
-				}
-				if ok2 {
-					break
-				}
-				hi = lo
-				step *= 2
-			}
-		}
-	} else {
-		ok, err := passes(maxRate)
-		if err != nil {
-			return res, err
-		}
-		if ok {
-			res.FramesPerSec = maxRate
-			res.LineRateLimited = true
-			res.Mbps = maxRate * float64(cfg.FrameSize) * 8 / 1e6
-			return res, nil
-		}
-		lo, hi = 0.0, maxRate // invariant: lo passes (vacuously), hi fails
+	rate, _, found, err := Boundary(0, maxRate, maxRate/256, hint, loses)
+	if err != nil {
+		return res, err
 	}
-	for hi-lo > maxRate/256 {
-		mid := (lo + hi) / 2
-		ok, err := passes(mid)
-		if err != nil {
-			return res, err
-		}
-		if ok {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	res.FramesPerSec = lo
-	res.Mbps = lo * float64(cfg.FrameSize) * 8 / 1e6
+	res.FramesPerSec = rate
+	res.LineRateLimited = !found
+	res.Mbps = rate * float64(cfg.FrameSize) * 8 / 1e6
 	return res, nil
 }
 
