@@ -26,15 +26,15 @@
 //	                 kernel wall time) for every run as gzipped pprof
 //	                 and folded stacks, plus merged per-experiment
 //	                 cost profiles
-//
-// Only fig2, fig3a, fig2ng and timeline write traces and profiles;
-// -trace-out or -profile-out with any other experiment (or all, or
-// report) is an error that names it.
 //	-profile-sample N  kernel profiler samples 1 event in N (default 16;
 //	                 the cost domain is always exact)
 //	-faults PLAN     custom management-channel fault plan for the chaos
 //	                 experiments (e.g. "loss=0.2,down=1s-2.5s")
 //	-fault-seed N    fault-injector seed (default: the simulation seed)
+//
+// Only fig2, fig3a, fig2ng and timeline write traces and profiles;
+// -trace-out or -profile-out with any other experiment (or all, or
+// report) is an error that names it.
 //
 // The chaos experiment family pushes the flood-mitigating policy over a
 // deliberately faulty management channel (seeded loss, corruption, and

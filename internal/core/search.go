@@ -20,18 +20,18 @@ const (
 	SearchResolutionPPS = 125
 )
 
-// MinFloodResult reports the minimum-flood-rate search for one scenario.
+// MinFloodResult reports a minimum-flood-rate search (MinFloodRateFrom
+// or MinStatefloodRateFrom).
 type MinFloodResult struct {
-	Scenario Scenario
 	// Found reports whether any rate within the search bounds caused
-	// denial of service.
+	// denial of service by the search's criterion.
 	Found bool
-	// RatePPS is the minimum flood rate that drove the measured
-	// bandwidth below DoSThresholdMbps.
+	// RatePPS is the minimum flood rate that did.
 	RatePPS float64
 	// LockedUp reports that the card wedged during the successful flood
 	// (the EFW Deny-All failure); the paper could not record data for
-	// this case because the card required an agent restart.
+	// this case because the card required an agent restart. Only the
+	// bandwidth search sets it.
 	LockedUp bool
 	// Probes counts the measurements the search ran.
 	Probes int
@@ -57,7 +57,7 @@ func MinFloodRateFrom(s Scenario, hint float64) (MinFloodResult, error) {
 	if s.Duration == 0 {
 		s.Duration = 2 * time.Second // probes trade window length for search depth
 	}
-	res := MinFloodResult{Scenario: s}
+	var res MinFloodResult
 	dos := func(rate float64) (bool, error) {
 		sc := s
 		sc.FloodRatePPS = rate

@@ -341,31 +341,15 @@ func RunStateflood(s StatefloodScenario) (StatefloodPoint, error) {
 	return p, nil
 }
 
-// MinStatefloodResult reports the minimum-rate search for a stateflood
-// scenario.
-type MinStatefloodResult struct {
-	Scenario StatefloodScenario
-	// Found reports whether any rate within the search bounds denied
-	// service to the probe session.
-	Found bool
-	// RatePPS is the minimum flood rate that did.
-	RatePPS float64
-	// Probes counts measurements; SimSeconds and WallBusy accumulate
-	// their cost.
-	Probes     int
-	SimSeconds float64
-	WallBusy   time.Duration
-}
-
 // MinStatefloodRateFrom finds the minimum flood rate that denies
 // service to the probe session, by the same search and bounds as
 // MinFloodRateFrom but with the session-survival criterion instead of
 // the bandwidth one. The scenario's FloodRatePPS is ignored; each probe
 // builds a fresh testbed. A hint warm-starts the search as in
 // MinFloodRateFrom; hint <= 0 runs the cold search.
-func MinStatefloodRateFrom(s StatefloodScenario, hint float64) (MinStatefloodResult, error) {
+func MinStatefloodRateFrom(s StatefloodScenario, hint float64) (MinFloodResult, error) {
 	s.defaults()
-	res := MinStatefloodResult{Scenario: s}
+	var res MinFloodResult
 	dos := func(rate float64) (bool, error) {
 		sc := s
 		sc.FloodRatePPS = rate

@@ -113,14 +113,9 @@ var Fig3bClasses = []Fig3bClass{
 
 // Fig3b reproduces Figure 3(b): the minimum flood rate required to cause
 // denial of service as rule-set depth increases, with the flood packets
-// allowed or denied by the policy.
-//
-// Each class (device × allow/deny) is one executor task; within a
-// class, depths run sequentially so each search warm-starts from the
-// neighboring depth's threshold — adjacent depths have nearby DoS
-// rates, so galloping out from the previous answer replaces the full
-// cold bracket. Keeping the warm-start chain inside one task means the
-// probe sequence is identical at any worker count.
+// allowed or denied by the policy. Adjacent depths have nearby DoS
+// rates, so each depth's search warm-starts from the previous one's
+// threshold (see minFloodSweep) instead of probing the full bounds.
 func Fig3b(cfg Config) (*Figure, error) {
 	depths := Fig3bDepths
 	classes := Fig3bClasses
@@ -132,7 +127,27 @@ func Fig3b(cfg Config) (*Figure, error) {
 		}
 	}
 
-	series, err := runner.Map(cfg.pool(), len(classes), func(ci int) (Series, error) {
+	series, err := minFloodSweep(cfg, classes, depths)
+	if err != nil {
+		return nil, err
+	}
+
+	fig := &Figure{
+		Title:  "Figure 3(b): Minimum Denial-of-Service Flood Rate vs Rule-Set Depth",
+		XLabel: "rules traversed before action",
+		YLabel: "minimum flood rate (packets/s)",
+		Series: series,
+	}
+	return fig, nil
+}
+
+// minFloodSweep runs the minimum-DoS-flood-rate search for every class
+// at every depth, one series per class. Each class is one executor
+// task; within it, depths run in order and each search warm-starts from
+// the previous depth's threshold, so the probe sequence is identical at
+// any worker count.
+func minFloodSweep(cfg Config, classes []Fig3bClass, depths []int) ([]Series, error) {
+	return runner.Map(cfg.pool(), len(classes), func(ci int) (Series, error) {
 		class := classes[ci]
 		s := Series{Label: class.Label()}
 		hint := 0.0
@@ -145,32 +160,16 @@ func Fig3b(cfg Config) (*Figure, error) {
 				return Series{}, err
 			}
 			cfg.account(r.Probes, r.SimSeconds, r.WallBusy)
-			pt := Point{X: float64(d)}
+			pt := Point{X: float64(d), Y: r.RatePPS}
 			switch {
 			case !r.Found:
 				pt.Note = "no DoS found"
-				hint = 0
 			case r.LockedUp:
-				pt.Y = r.RatePPS
 				pt.Note = "LOCKUP"
-				hint = r.RatePPS
-			default:
-				pt.Y = r.RatePPS
-				hint = r.RatePPS
 			}
 			s.Points = append(s.Points, pt)
+			hint = r.RatePPS
 		}
 		return s, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-
-	fig := &Figure{
-		Title:  "Figure 3(b): Minimum Denial-of-Service Flood Rate vs Rule-Set Depth",
-		XLabel: "rules traversed before action",
-		YLabel: "minimum flood rate (packets/s)",
-		Series: series,
-	}
-	return fig, nil
 }

@@ -106,11 +106,8 @@ var Fig3NGClasses = []Fig3bClass{
 // decays with depth (each flood packet walks the whole rule-set); the
 // NextGen card's per-packet cost is flat and low enough that no rate
 // within the search bounds causes denial of service — those points carry
-// the "no DoS found" note instead of a rate.
-//
-// As in Fig3b, each class is one executor task and depths run
-// sequentially inside it so each search warm-starts from the neighboring
-// depth's threshold; the probe sequence is identical at any worker count.
+// the "no DoS found" note instead of a rate. The sweep runs as Fig3b's
+// (see minFloodSweep).
 func Fig3NextGen(cfg Config) (*Figure, error) {
 	depths := Fig3NGDepths
 	classes := Fig3NGClasses
@@ -122,36 +119,7 @@ func Fig3NextGen(cfg Config) (*Figure, error) {
 		}
 	}
 
-	series, err := runner.Map(cfg.pool(), len(classes), func(ci int) (Series, error) {
-		class := classes[ci]
-		s := Series{Label: class.Label()}
-		hint := 0.0
-		for _, d := range depths {
-			r, err := core.MinFloodRateFrom(core.Scenario{
-				Device: class.Device, Depth: d, FloodAllowed: class.Allowed,
-				Duration: cfg.bandwidthDuration(), Seed: cfg.Seed,
-			}, hint)
-			if err != nil {
-				return Series{}, err
-			}
-			cfg.account(r.Probes, r.SimSeconds, r.WallBusy)
-			pt := Point{X: float64(d)}
-			switch {
-			case !r.Found:
-				pt.Note = "no DoS found"
-				hint = 0
-			case r.LockedUp:
-				pt.Y = r.RatePPS
-				pt.Note = "LOCKUP"
-				hint = r.RatePPS
-			default:
-				pt.Y = r.RatePPS
-				hint = r.RatePPS
-			}
-			s.Points = append(s.Points, pt)
-		}
-		return s, nil
-	})
+	series, err := minFloodSweep(cfg, classes, depths)
 	if err != nil {
 		return nil, err
 	}

@@ -97,32 +97,24 @@ func StatefloodCurves(cfg Config) (*Figure, error) {
 type statefloodThresholdRow struct {
 	label string
 	note  string
-	run   func(cfg Config) (found bool, rate float64, probes int, sim float64, wall time.Duration, err error)
+	run   func(cfg Config) (core.MinFloodResult, error)
 }
 
-func statefloodSessionSearch(kind measure.FloodKind, policy conntrack.EvictPolicy) func(Config) (bool, float64, int, float64, time.Duration, error) {
-	return func(cfg Config) (bool, float64, int, float64, time.Duration, error) {
-		r, err := core.MinStatefloodRateFrom(cfg.statefloodScenario(kind, policy, 0), 0)
-		if err != nil {
-			return false, 0, 0, 0, 0, err
-		}
-		return r.Found, r.RatePPS, r.Probes, r.SimSeconds, r.WallBusy, nil
+func statefloodSessionSearch(kind measure.FloodKind, policy conntrack.EvictPolicy) func(Config) (core.MinFloodResult, error) {
+	return func(cfg Config) (core.MinFloodResult, error) {
+		return core.MinStatefloodRateFrom(cfg.statefloodScenario(kind, policy, 0), 0)
 	}
 }
 
-func statefloodBandwidthSearch(allowed bool) func(Config) (bool, float64, int, float64, time.Duration, error) {
-	return func(cfg Config) (bool, float64, int, float64, time.Duration, error) {
-		r, err := core.MinFloodRateFrom(core.Scenario{
+func statefloodBandwidthSearch(allowed bool) func(Config) (core.MinFloodResult, error) {
+	return func(cfg Config) (core.MinFloodResult, error) {
+		return core.MinFloodRateFrom(core.Scenario{
 			Device:       core.DeviceStateful,
 			Depth:        64,
 			FloodAllowed: allowed,
 			Seed:         cfg.Seed,
 			Duration:     cfg.statefloodDuration(),
 		}, 0)
-		if err != nil {
-			return false, 0, 0, 0, 0, err
-		}
-		return r.Found, r.RatePPS, r.Probes, r.SimSeconds, r.WallBusy, nil
 	}
 }
 
@@ -166,16 +158,16 @@ func StatefloodThresholds(cfg Config) (*Table, error) {
 
 	out, err := runner.Map(cfg.pool(), len(rows), func(i int) ([]string, error) {
 		r := rows[i]
-		found, rate, probes, sim, wall, err := r.run(cfg)
+		res, err := r.run(cfg)
 		if err != nil {
 			return nil, err
 		}
-		cfg.account(probes, sim, wall)
+		cfg.account(res.Probes, res.SimSeconds, res.WallBusy)
 		min := fmt.Sprintf("> %d", core.MaxSearchRatePPS)
-		if found {
-			min = fmt.Sprintf("%.0f", rate)
+		if res.Found {
+			min = fmt.Sprintf("%.0f", res.RatePPS)
 		}
-		return []string{r.label, min, fmt.Sprintf("%d", probes), r.note}, nil
+		return []string{r.label, min, fmt.Sprintf("%d", res.Probes), r.note}, nil
 	})
 	if err != nil {
 		return nil, err

@@ -5,14 +5,6 @@ import (
 	"testing"
 )
 
-func BenchmarkChecksum1500(b *testing.B) {
-	data := make([]byte, 1500)
-	b.SetBytes(1500)
-	for i := 0; i < b.N; i++ {
-		Checksum(data)
-	}
-}
-
 // BenchmarkChecksum covers the sizes the simulator sums most: the
 // 20-byte IPv4 header on every frame, a minimum-size flood datagram,
 // and an odd-length near-MTU segment that exercises the tail.
