@@ -246,6 +246,7 @@ func startFlood(tb *Testbed, s Scenario, reg *obs.Registry) (*measure.Flooder, e
 	if err := tb.Kernel.RunFor(200 * time.Millisecond); err != nil {
 		return nil, err
 	}
+	// Registered after the warm-up: its series start with the measurement.
 	if reg != nil {
 		f.PublishMetrics(reg, obs.L("host", "attacker"))
 	}
